@@ -77,9 +77,6 @@ fn main() {
     if all || which == "reduction" {
         reduction();
     }
-    if all || which == "codec" {
-        codec();
-    }
 }
 
 /// Emits a [`jmpax_bench::BenchReport`] sweep as JSON on stdout: several
@@ -113,45 +110,6 @@ fn baseline() {
         }
     }
     println!("{}", merged.expect("at least one config").to_json());
-}
-
-/// Wire-format sizes: plain fixed-width frames vs the compact varint
-/// encoding, for the paper's "minimize the number of messages" concern
-/// extended to message *bytes*.
-fn codec() {
-    use bytes::BytesMut;
-    use jmpax_instrument::{encode_compact_frame, encode_frame};
-
-    header("Wire formats — plain frames vs compact (varint) frames");
-    println!(
-        "{:>8} {:>6} {:>12} {:>12} {:>8}",
-        "msgs", "thr", "plain-B", "compact-B", "ratio"
-    );
-    for (threads, events) in [(2usize, 1_000usize), (8, 10_000), (32, 10_000)] {
-        let ex = random_execution(RandomExecutionConfig {
-            threads,
-            vars: 8,
-            events,
-            write_ratio: 0.5,
-            internal_ratio: 0.0,
-            seed: 11,
-        });
-        let msgs = ex.instrument(Relevance::AllWrites);
-        let mut plain = BytesMut::new();
-        let mut compact = BytesMut::new();
-        for m in &msgs {
-            encode_frame(m, &mut plain);
-            encode_compact_frame(m, &mut compact);
-        }
-        println!(
-            "{:>8} {:>6} {:>12} {:>12} {:>7.1}x",
-            msgs.len(),
-            threads,
-            plain.len(),
-            compact.len(),
-            plain.len() as f64 / compact.len().max(1) as f64
-        );
-    }
 }
 
 /// Q9: partial-order reduction vs full enumeration cost.
@@ -437,10 +395,14 @@ fn fig4() {
         msgs.len(),
         bytes.len()
     );
-    let report = check_frames(
+    // A stall budget of the whole stream: no gap is given up while a
+    // shuffled frame may still fill it.
+    let (report, _) = check_frames(
         &bytes,
         w.monitor(),
         ProgramState::from_map(out.execution.initial.clone()),
+        msgs.len() as u64,
+        &jmpax_telemetry::Registry::disabled(),
     )
     .unwrap();
     let a = report.verdict.analysis();

@@ -18,8 +18,9 @@
 use std::time::Instant;
 
 use bytes::BytesMut;
-use jmpax_instrument::{decode_frames_resilient, encode_frame_v2};
+use jmpax_instrument::{encode_frame_v2, ResilientFrameDecoder};
 use jmpax_lattice::{Reassembler, StreamingAnalyzer};
+use jmpax_observer::ResilienceSummary;
 use jmpax_telemetry::json::{self, Value};
 use jmpax_telemetry::{MetricValue, Registry, Snapshot};
 
@@ -119,7 +120,8 @@ pub struct BenchRun {
     /// Violations found (0 for the bench invariant).
     pub violations: u64,
     /// True when the report is bit-identical to the run's 1-worker
-    /// baseline (always true for the baseline itself).
+    /// baseline (always true for an exact baseline itself) and the frames
+    /// decoded and reassembled without loss.
     pub identical: bool,
     /// Minimum wall time over the repeats, decode → verdict, nanoseconds.
     pub wall_ns: u64,
@@ -205,21 +207,25 @@ pub fn measure_with_options(
         for _ in 0..repeat {
             let start = Instant::now();
             let decode_span = registry.histogram("observer.stage.decode_ns").start_span();
-            let decoded = decode_frames_resilient(&frames);
+            let mut decoder = ResilientFrameDecoder::new();
+            let decoded = decoder.push(&frames);
+            let decode = decoder.finish();
             decode_span.finish();
             let reassemble_span = registry
                 .histogram("observer.stage.reassemble_ns")
                 .start_span();
             let mut reassembler = Reassembler::new();
-            reassembler.push_all(decoded.messages);
-            let (ordered, _reassembly) = reassembler.finish();
+            reassembler.push_all(decoded);
+            let (ordered, reassembly) = reassembler.finish();
             reassemble_span.finish();
             let mut analyzer =
                 StreamingAnalyzer::with_telemetry(monitor.clone(), &initial, config.threads, &registry)
                     .with_parallelism(workers)
                     .with_eval_cache(eval_cache);
             analyzer.push_all(ordered);
-            let report = analyzer.finish();
+            let mut report = analyzer.finish();
+            let transport = ResilienceSummary { decode, reassembly }.exactness();
+            report.exactness = report.exactness.combine(transport);
             let elapsed = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
             wall_ns = wall_ns.min(elapsed);
             last = Some(report);
@@ -231,13 +237,14 @@ pub fn measure_with_options(
             report.peak_frontier as u64,
             report.violations.len() as u64,
         );
-        let identical = match &baseline {
-            None => {
-                baseline = Some(shape);
-                true
-            }
-            Some(base) => *base == shape,
-        };
+        let identical = report.exactness.is_exact()
+            && match &baseline {
+                None => {
+                    baseline = Some(shape);
+                    true
+                }
+                Some(base) => *base == shape,
+            };
         let wall_s = wall_ns.max(1) as f64 / 1e9;
         // Counters accumulate across the repeat loop over one registry;
         // normalizing by `repeat` reports the deterministic per-run count.

@@ -808,16 +808,11 @@ fn chaos(args: &Args, registry: &Registry) -> (i32, String) {
     let stats = sink.stats();
 
     let initial = ProgramState::from_map(run.execution.initial.clone());
-    let (report, summary) = match jmpax_observer::check_frames_resilient(
-        &bytes,
-        monitor,
-        initial,
-        stall_budget,
-        registry,
-    ) {
-        Ok(r) => r,
-        Err(e) => return (2, format!("chaos: {e}\n")),
-    };
+    let (report, summary) =
+        match jmpax_observer::check_frames(&bytes, monitor, initial, stall_budget, registry) {
+            Ok(r) => r,
+            Err(e) => return (2, format!("chaos: {e}\n")),
+        };
     out.push_str(&crate::report::chaos_summary(
         &stats,
         &summary,

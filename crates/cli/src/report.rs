@@ -42,6 +42,7 @@ pub fn chaos_summary(
     exactness: Exactness,
 ) -> String {
     let mut out = String::new();
+    let d = &summary.decode;
     let _ = writeln!(
         out,
         "injected: {} frames emitted, {} dropped, {} duplicated, {} corrupted, {} reordered",
@@ -50,7 +51,7 @@ pub fn chaos_summary(
     let _ = writeln!(
         out,
         "transport: {} frames ok, {} corrupt, {} resynced, {} bytes skipped",
-        summary.frames_ok, summary.frames_corrupt, summary.frames_resynced, summary.bytes_skipped
+        d.frames_ok, d.frames_corrupt, d.frames_resynced, d.bytes_skipped
     );
     let r = &summary.reassembly;
     let _ = writeln!(
@@ -427,11 +428,12 @@ mod tests {
             reordered: 2,
         };
         let summary = ResilienceSummary {
-            frames_ok: 4,
-            frames_corrupt: 1,
-            frames_resynced: 0,
-            bytes_skipped: 12,
-            truncated: false,
+            decode: jmpax_instrument::ResilientDecode {
+                frames_ok: 4,
+                frames_corrupt: 1,
+                bytes_skipped: 12,
+                ..Default::default()
+            },
             reassembly: jmpax_lattice::ReassemblyReport::default(),
         };
         let out = chaos_summary(&stats, &summary, Exactness::Exact);

@@ -1,10 +1,11 @@
 //! Wire format for observer messages.
 //!
 //! JMPaX ships messages "via a socket to an external observer" (Section
-//! 4.1). This module defines the equivalent length-prefixed binary frame:
+//! 4.1). This module defines the one frame format on that socket: a
+//! checksummed header around a fixed-width payload.
 //!
 //! ```text
-//! frame   := len:u32le payload
+//! frame   := magic:u8 version:u8 len:u32le crc:u32le payload
 //! payload := thread:u32le kind:u8 body clock
 //! body    := ε                         (kind 0, internal)
 //!          | var:u32le                 (kind 1, read)
@@ -13,27 +14,29 @@
 //! clock   := n:u16le c_1:u32le … c_n:u32le
 //! ```
 //!
-//! The format is deliberately hand-rolled (no serde data format crates are
-//! used by this workspace). Two frame layouts coexist:
+//! `magic` is [`MAGIC`], `version` is [`VERSION`], `len` is at most
+//! [`MAX_FRAME_LEN`] and `crc` is the CRC-32 (IEEE) of the payload. The
+//! format is hand-rolled (no serde data format crates are used by this
+//! workspace).
 //!
-//! * **v1** (above): bare length-prefixed frames, assuming a perfect
-//!   transport. One corrupted length prefix desynchronizes the rest of the
-//!   stream.
-//! * **v2**: each frame is `magic:u8 version:u8 len:u32le crc:u32le
-//!   payload`, where `crc` is the CRC-32 (IEEE) of the payload and `len` is
-//!   bounded by [`MAX_FRAME_LEN`]. The magic byte gives
-//!   [`decode_frames_resilient`] a resynchronization point: after garbage or
-//!   a failed CRC it scans forward to the next credible header instead of
-//!   giving up, counting what was lost.
+//! [`encode_frame_v2`] writes one frame. [`ResilientFrameDecoder`] is the
+//! one decoder: it takes byte chunks as they arrive, hands out every
+//! message whose frame is complete and intact, and counts the rest in a
+//! [`ResilientDecode`]. A frame whose CRC or payload fails is lost in
+//! place; bytes that are not a credible header are skipped up to the next
+//! [`MAGIC`] boundary; a stream that ends on an unfinished frame is
+//! flagged truncated. Decoding a whole buffer is one
+//! [`ResilientFrameDecoder::push`] followed by
+//! [`ResilientFrameDecoder::finish`].
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 
 use jmpax_core::{Event, EventKind, Message, ThreadId, Value, VarId, VectorClock};
 
-/// First byte of every v2 frame — the resynchronization point.
+/// First byte of every frame — the resynchronization point.
 pub const MAGIC: u8 = 0xA5;
 
-/// Wire-format version encoded in every v2 frame header.
+/// Wire-format version encoded in every frame header.
 pub const VERSION: u8 = 2;
 
 /// Upper bound on an encoded payload. The largest legitimate payload is a
@@ -42,50 +45,30 @@ pub const VERSION: u8 = 2;
 /// any buffer is reserved.
 pub const MAX_FRAME_LEN: usize = 1 << 19;
 
-/// Bytes in a v2 header: magic + version + len + crc.
-const V2_HEADER_LEN: usize = 10;
+/// Bytes in a frame header: magic + version + len + crc.
+const HEADER_LEN: usize = 10;
 
-/// Decoding errors.
+/// Why a CRC-valid payload was rejected. The decoder counts each rejected
+/// payload as one corrupt frame ([`ResilientDecode::frames_corrupt`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CodecError {
-    /// The buffer ended inside a frame.
+    /// The payload ended inside a field.
     Truncated,
     /// An unknown kind or value tag was found.
     BadTag(u8),
-    /// A length prefix exceeded [`MAX_FRAME_LEN`] — a corrupt prefix must
-    /// not be allowed to request an arbitrarily large allocation.
-    Oversized(u32),
-    /// A v2 frame did not start with [`MAGIC`].
-    BadMagic(u8),
-    /// A v2 frame declared an unsupported version.
-    BadVersion(u8),
-    /// A v2 payload failed its CRC-32 check.
-    CrcMismatch {
-        /// The checksum carried in the header.
-        expected: u32,
-        /// The checksum computed over the received payload.
-        found: u32,
-    },
+    /// The clock's component for the message's own thread is 0. Algorithm
+    /// A numbers each thread's messages from 1, so the message has no place
+    /// in its thread's sequence.
+    Unsequenced,
 }
 
 impl std::fmt::Display for CodecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CodecError::Truncated => write!(f, "truncated frame"),
+            CodecError::Truncated => write!(f, "truncated payload"),
             CodecError::BadTag(t) => write!(f, "unknown tag {t}"),
-            CodecError::Oversized(len) => {
-                write!(
-                    f,
-                    "frame length {len} exceeds the {MAX_FRAME_LEN}-byte bound"
-                )
-            }
-            CodecError::BadMagic(b) => write!(f, "expected magic {MAGIC:#04x}, found {b:#04x}"),
-            CodecError::BadVersion(v) => write!(f, "unsupported wire version {v}"),
-            CodecError::CrcMismatch { expected, found } => {
-                write!(
-                    f,
-                    "payload CRC mismatch (header {expected:#010x}, computed {found:#010x})"
-                )
+            CodecError::Unsequenced => {
+                write!(f, "own-thread clock component is 0 (no sequence number)")
             }
         }
     }
@@ -117,7 +100,7 @@ const CRC32_TABLE: [u32; 256] = {
     table
 };
 
-/// CRC-32 (IEEE) of `data` — the checksum protecting every v2 payload.
+/// CRC-32 (IEEE) of `data` — the checksum protecting every payload.
 #[must_use]
 pub fn crc32(data: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
@@ -127,17 +110,8 @@ pub fn crc32(data: &[u8]) -> u32 {
     !c
 }
 
-/// Appends one encoded frame to `out`.
-pub fn encode_frame(message: &Message, out: &mut BytesMut) {
-    let payload = encode_payload(message);
-    out.put_u32_le(payload.len() as u32);
-    out.extend_from_slice(&payload);
-}
-
-/// Appends one **v2** frame (magic + version + length + CRC-32 + payload)
-/// to `out`. The payload bytes are identical to the v1 format; only the
-/// header differs, so a v2 stream costs 6 extra bytes per message and buys
-/// corruption detection plus resynchronization.
+/// Appends one frame (magic + version + length + CRC-32 + payload) to
+/// `out`.
 pub fn encode_frame_v2(message: &Message, out: &mut BytesMut) {
     let payload = encode_payload(message);
     out.put_u8(MAGIC);
@@ -180,183 +154,50 @@ fn encode_payload(message: &Message) -> BytesMut {
     payload
 }
 
-/// Decodes every complete **v2** frame in `bytes`, failing on the first
-/// malformed one. Use [`decode_frames_resilient`] when the transport may
-/// corrupt, truncate, or interleave garbage — this strict variant is for
-/// trusted local buffers.
-pub fn decode_frames_v2(bytes: &Bytes) -> Result<Vec<Message>, CodecError> {
-    let mut buf = bytes.clone();
-    let mut out = Vec::new();
-    while buf.has_remaining() {
-        if buf.remaining() < V2_HEADER_LEN {
-            return Err(CodecError::Truncated);
-        }
-        let magic = buf.get_u8();
-        if magic != MAGIC {
-            return Err(CodecError::BadMagic(magic));
-        }
-        let version = buf.get_u8();
-        if version != VERSION {
-            return Err(CodecError::BadVersion(version));
-        }
-        let len = buf.get_u32_le();
-        if len as usize > MAX_FRAME_LEN {
-            return Err(CodecError::Oversized(len));
-        }
-        let expected = buf.get_u32_le();
-        if buf.remaining() < len as usize {
-            return Err(CodecError::Truncated);
-        }
-        let mut frame = buf.split_to(len as usize);
-        let found = crc32(&frame);
-        if found != expected {
-            return Err(CodecError::CrcMismatch { expected, found });
-        }
-        out.push(decode_payload(&mut frame)?);
-    }
-    Ok(out)
-}
-
-/// Outcome of a [`decode_frames_resilient`] pass: whatever decoded cleanly
-/// plus an accounting of everything that did not.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// Fault accounting of one decoded stream, from
+/// [`ResilientFrameDecoder::finish`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ResilientDecode {
-    /// Messages whose frames passed magic, version, length, CRC and
-    /// payload checks.
-    pub messages: Vec<Message>,
-    /// Frames decoded intact.
+    /// Frames that passed magic, version, length, CRC and payload checks.
     pub frames_ok: u64,
     /// Frames whose header was credible but whose payload failed the CRC
-    /// or structural decode — each counts one message lost in place.
+    /// or the payload decode ([`CodecError`]) — each counts one message
+    /// lost in place.
     pub frames_corrupt: u64,
     /// Garbage runs skipped before locking back onto a credible frame.
     pub frames_resynced: u64,
-    /// Total bytes discarded while scanning for the next magic boundary.
+    /// Total bytes discarded: garbage plus an unfinished last frame.
     pub bytes_skipped: u64,
-    /// The buffer ended inside a credible frame (a partial tail, e.g. a
-    /// cut-off stream) — not counted as corruption.
+    /// The stream ended on bytes that did not complete a frame: a cut-off
+    /// frame, or a garbage run that never reached another credible header
+    /// (say, a last frame whose header was damaged).
     pub truncated: bool,
 }
 
-impl ResilientDecode {
-    /// True when every byte decoded cleanly.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.frames_corrupt == 0 && self.frames_resynced == 0 && !self.truncated
+/// The `(len, crc)` of a credible header at `buf[at..]`: magic, version
+/// and a bounded length must all hold. A header cut short is not credible.
+fn credible_header(buf: &[u8], at: usize) -> Option<(usize, u32)> {
+    let h: &[u8; HEADER_LEN] = buf.get(at..)?.first_chunk()?;
+    if h[0] != MAGIC || h[1] != VERSION {
+        return None;
     }
+    let len = u32::from_le_bytes([h[2], h[3], h[4], h[5]]) as usize;
+    (len <= MAX_FRAME_LEN).then(|| (len, u32::from_le_bytes([h[6], h[7], h[8], h[9]])))
 }
 
-/// Is `buf[at..]` a credible v2 header? Magic, version and bounded length
-/// must all hold; truncation mid-header is *not* credible (the caller
-/// decides how to treat the tail).
-fn credible_header(buf: &[u8], at: usize) -> bool {
-    if buf.len() - at < V2_HEADER_LEN {
-        return false;
-    }
-    if buf[at] != MAGIC || buf[at + 1] != VERSION {
-        return false;
-    }
-    let len = u32::from_le_bytes([buf[at + 2], buf[at + 3], buf[at + 4], buf[at + 5]]);
-    len as usize <= MAX_FRAME_LEN
-}
-
-/// Decodes a v2 stream that may contain corruption: frames whose CRC or
-/// structure fails are counted and stepped over, and stretches of garbage
-/// are scanned byte-by-byte until the next credible [`MAGIC`] boundary
-/// ("resync"). Never fails — damage is reported in the returned
-/// [`ResilientDecode`] instead.
-#[must_use]
-pub fn decode_frames_resilient(bytes: &Bytes) -> ResilientDecode {
-    let buf: &[u8] = bytes;
-    let mut out = ResilientDecode::default();
-    let mut pos = 0usize;
-    // True while we are inside a garbage run; the first credible frame
-    // after a run closes it and counts one resync.
-    let mut scanning = false;
-    while pos < buf.len() {
-        if credible_header(buf, pos) {
-            let len = u32::from_le_bytes([buf[pos + 2], buf[pos + 3], buf[pos + 4], buf[pos + 5]])
-                as usize;
-            let expected =
-                u32::from_le_bytes([buf[pos + 6], buf[pos + 7], buf[pos + 8], buf[pos + 9]]);
-            let body_at = pos + V2_HEADER_LEN;
-            if buf.len() - body_at < len {
-                // Credible header but the stream ends inside the payload:
-                // a cut-off tail, not corruption.
-                out.truncated = true;
-                out.bytes_skipped += (buf.len() - pos) as u64;
-                break;
-            }
-            if scanning {
-                scanning = false;
-                out.frames_resynced += 1;
-            }
-            let payload = &buf[body_at..body_at + len];
-            let decoded = if crc32(payload) == expected {
-                decode_payload(&mut bytes.slice(body_at..body_at + len)).ok()
-            } else {
-                None
-            };
-            match decoded {
-                Some(m) => {
-                    out.messages.push(m);
-                    out.frames_ok += 1;
-                }
-                // The length field was credible, so step over the whole
-                // claimed frame — under isolated bit flips this keeps the
-                // loss accounting at exactly one frame.
-                None => out.frames_corrupt += 1,
-            }
-            pos = body_at + len;
-        } else if !scanning && buf[pos] == MAGIC && buf.len() - pos < V2_HEADER_LEN {
-            // A partial header right after a good frame: a cut-off tail,
-            // not garbage.
-            out.truncated = true;
-            out.bytes_skipped += (buf.len() - pos) as u64;
-            break;
-        } else {
-            scanning = true;
-            out.bytes_skipped += 1;
-            pos += 1;
-        }
-    }
-    // A garbage run that reaches the end of the buffer never resynced; it
-    // is already accounted in `bytes_skipped`.
-    out
-}
-
-/// Could `buf[at..]` still become a credible v2 header once more bytes
-/// arrive? Checks only the bytes actually present — a strict prefix of a
-/// credible header answers `true`, anything already contradicting the
-/// header layout answers `false`.
-fn credible_prefix(buf: &[u8], at: usize) -> bool {
-    if buf.len() - at >= V2_HEADER_LEN {
-        return credible_header(buf, at);
-    }
-    // Short tails are judged on the magic byte alone — exactly the rule
-    // `decode_frames_resilient` applies to a cut-off stream, so the
-    // incremental accounting lands on the same counters.
-    buf[at] == MAGIC
-}
-
-/// Incremental version of [`decode_frames_resilient`] for live transports:
-/// feed byte chunks as they arrive with [`ResilientFrameDecoder::push`] and
-/// get back every message completed by that chunk; call
+/// The frame decoder for live transports and whole buffers alike: feed
+/// byte chunks as they arrive with [`ResilientFrameDecoder::push`] and get
+/// back every message completed by that chunk; call
 /// [`ResilientFrameDecoder::finish`] at end-of-stream for the fault
-/// accounting. Over any chunking of a byte stream the decoded messages and
-/// counters are identical to one whole-buffer
-/// [`decode_frames_resilient`] pass — the long-running `jmpax serve`
-/// daemon relies on this to analyze tenants online without buffering their
-/// whole session.
+/// accounting. Any chunking of a byte stream yields the same messages and
+/// counters — the long-running `jmpax serve` daemon relies on this to
+/// analyze tenants online without buffering their whole session.
 #[derive(Clone, Debug, Default)]
 pub struct ResilientFrameDecoder {
     /// Unconsumed tail: either empty or a credible prefix of the next
     /// frame, waiting for more bytes.
     buf: Vec<u8>,
-    frames_ok: u64,
-    frames_corrupt: u64,
-    frames_resynced: u64,
-    bytes_skipped: u64,
+    tally: ResilientDecode,
     /// True while inside a garbage run; the next complete credible frame
     /// closes it and counts one resync.
     scanning: bool,
@@ -370,56 +211,39 @@ impl ResilientFrameDecoder {
     }
 
     /// Consumes one received chunk and returns every message whose frame is
-    /// now complete. Corruption and garbage are skipped exactly as
-    /// [`decode_frames_resilient`] does; a partial frame at the end of the
-    /// accumulated input is retained for the next push.
+    /// now complete and intact. Corrupt frames and garbage are counted and
+    /// skipped; a partial frame at the end of the accumulated input is
+    /// retained for the next push.
     pub fn push(&mut self, chunk: &[u8]) -> Vec<Message> {
         self.buf.extend_from_slice(chunk);
         let mut out = Vec::new();
         let mut pos = 0usize;
         while pos < self.buf.len() {
-            if credible_header(&self.buf, pos) {
-                let len = u32::from_le_bytes([
-                    self.buf[pos + 2],
-                    self.buf[pos + 3],
-                    self.buf[pos + 4],
-                    self.buf[pos + 5],
-                ]) as usize;
-                let expected = u32::from_le_bytes([
-                    self.buf[pos + 6],
-                    self.buf[pos + 7],
-                    self.buf[pos + 8],
-                    self.buf[pos + 9],
-                ]);
-                let body_at = pos + V2_HEADER_LEN;
-                if self.buf.len() - body_at < len {
+            if let Some((len, crc)) = credible_header(&self.buf, pos) {
+                let body_at = pos + HEADER_LEN;
+                let Some(payload) = self.buf.get(body_at..body_at + len) else {
                     break; // wait for the rest of the payload
-                }
+                };
                 if self.scanning {
                     self.scanning = false;
-                    self.frames_resynced += 1;
+                    self.tally.frames_resynced += 1;
                 }
-                let payload = &self.buf[body_at..body_at + len];
-                let decoded = if crc32(payload) == expected {
-                    let mut owned = BytesMut::with_capacity(len);
-                    owned.extend_from_slice(payload);
-                    decode_payload(&mut owned.freeze()).ok()
-                } else {
-                    None
-                };
-                match decoded {
+                match decode_frame_payload(payload, crc) {
                     Some(m) => {
                         out.push(m);
-                        self.frames_ok += 1;
+                        self.tally.frames_ok += 1;
                     }
-                    None => self.frames_corrupt += 1,
+                    // The length field was credible, so step over the whole
+                    // claimed frame — under isolated bit flips this keeps
+                    // the loss accounting at exactly one frame.
+                    None => self.tally.frames_corrupt += 1,
                 }
                 pos = body_at + len;
-            } else if credible_prefix(&self.buf, pos) {
-                break; // may complete once more bytes arrive
+            } else if self.buf.len() - pos < HEADER_LEN && self.buf[pos] == MAGIC {
+                break; // may become a credible header once more bytes arrive
             } else {
                 self.scanning = true;
-                self.bytes_skipped += 1;
+                self.tally.bytes_skipped += 1;
                 pos += 1;
             }
         }
@@ -434,193 +258,61 @@ impl ResilientFrameDecoder {
         self.buf.len()
     }
 
-    /// Ends the stream and returns the fault accounting (the `messages`
-    /// field is empty — messages were already handed out by `push`). Any
-    /// retained partial frame becomes a cut-off tail: `truncated` when it
-    /// was a credible (prefix of a) header outside a garbage run, plain
-    /// skipped bytes otherwise — matching what [`decode_frames_resilient`]
-    /// reports on the concatenated stream.
+    /// Ends the stream and returns the fault accounting. A retained partial
+    /// frame, or a garbage run still open, makes the stream `truncated`;
+    /// the retained bytes count as skipped.
     #[must_use]
-    pub fn finish(mut self) -> ResilientDecode {
+    pub fn finish(self) -> ResilientDecode {
         let residue = self.buf.len();
-        let mut truncated = false;
-        if residue > 0 {
-            self.bytes_skipped += residue as u64;
-            truncated = credible_header(&self.buf, 0) || !self.scanning;
-        }
         ResilientDecode {
-            messages: Vec::new(),
-            frames_ok: self.frames_ok,
-            frames_corrupt: self.frames_corrupt,
-            frames_resynced: self.frames_resynced,
-            bytes_skipped: self.bytes_skipped,
-            truncated,
+            bytes_skipped: self.tally.bytes_skipped + residue as u64,
+            truncated: residue > 0 || self.scanning,
+            ..self.tally
         }
     }
 }
 
-/// Decodes every complete frame in `bytes`.
-pub fn decode_frames(bytes: &Bytes) -> Result<Vec<Message>, CodecError> {
-    let mut buf = bytes.clone();
-    let mut out = Vec::new();
-    while buf.has_remaining() {
-        if buf.remaining() < 4 {
-            return Err(CodecError::Truncated);
-        }
-        let len = buf.get_u32_le() as usize;
-        if len > MAX_FRAME_LEN {
-            return Err(CodecError::Oversized(len as u32));
-        }
-        if buf.remaining() < len {
-            return Err(CodecError::Truncated);
-        }
-        let mut frame = buf.split_to(len);
-        out.push(decode_payload(&mut frame)?);
+/// The message a credible frame carries, or `None` when its payload fails
+/// the CRC or does not decode.
+fn decode_frame_payload(payload: &[u8], crc: u32) -> Option<Message> {
+    if crc32(payload) != crc {
+        return None;
     }
-    Ok(out)
+    decode_payload(payload).ok()
 }
 
-fn decode_payload(buf: &mut Bytes) -> Result<Message, CodecError> {
-    if buf.remaining() < 5 {
-        return Err(CodecError::Truncated);
+/// Reads fixed-width little-endian fields off the front of a payload.
+struct Fields<'a>(&'a [u8]);
+
+impl Fields<'_> {
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        let (head, rest) = self.0.split_first_chunk().ok_or(CodecError::Truncated)?;
+        self.0 = rest;
+        Ok(*head)
     }
-    let thread = ThreadId(buf.get_u32_le());
-    let kind = match buf.get_u8() {
-        0 => EventKind::Internal,
-        1 => {
-            if buf.remaining() < 4 {
-                return Err(CodecError::Truncated);
-            }
-            EventKind::Read {
-                var: VarId(buf.get_u32_le()),
-            }
-        }
-        2 => {
-            if buf.remaining() < 5 {
-                return Err(CodecError::Truncated);
-            }
-            let var = VarId(buf.get_u32_le());
-            let value = match buf.get_u8() {
-                0 => {
-                    if buf.remaining() < 8 {
-                        return Err(CodecError::Truncated);
-                    }
-                    Value::Int(buf.get_i64_le())
-                }
-                1 => {
-                    if buf.remaining() < 1 {
-                        return Err(CodecError::Truncated);
-                    }
-                    Value::Bool(buf.get_u8() != 0)
-                }
-                2 => Value::Unit,
-                t => return Err(CodecError::BadTag(t)),
-            };
-            EventKind::Write { var, value }
-        }
-        t => return Err(CodecError::BadTag(t)),
-    };
-    if buf.remaining() < 2 {
-        return Err(CodecError::Truncated);
+
+    fn u8(&mut self) -> Result<u8, CodecError> {
+        self.take::<1>().map(|[b]| b)
     }
-    let n = buf.get_u16_le() as usize;
-    if buf.remaining() < n * 4 {
-        return Err(CodecError::Truncated);
+
+    fn u32(&mut self) -> Result<u32, CodecError> {
+        self.take().map(u32::from_le_bytes)
     }
-    let mut components = Vec::with_capacity(n);
-    for _ in 0..n {
-        components.push(buf.get_u32_le());
-    }
-    Ok(Message {
-        event: Event { thread, kind },
-        clock: VectorClock::from_components(components),
-    })
 }
 
-// ---------------------------------------------------------------------------
-// Compact (varint) encoding
-// ---------------------------------------------------------------------------
-
-/// Appends one message in the *compact* wire format: same structure as
-/// [`encode_frame`] but all integers are LEB128 varints and the clock drops
-/// trailing zeros. Typical messages shrink 2–3× (most clock components and
-/// ids are small); decode with [`decode_compact_frames`].
-pub fn encode_compact_frame(message: &Message, out: &mut BytesMut) {
-    let mut payload = BytesMut::with_capacity(16);
-    put_varint(&mut payload, u64::from(message.event.thread.0));
-    match message.event.kind {
-        EventKind::Internal => payload.put_u8(0),
-        EventKind::Read { var } => {
-            payload.put_u8(1);
-            put_varint(&mut payload, u64::from(var.0));
-        }
-        EventKind::Write { var, value } => {
-            payload.put_u8(2);
-            put_varint(&mut payload, u64::from(var.0));
-            match value {
-                Value::Int(v) => {
-                    payload.put_u8(0);
-                    put_varint(&mut payload, zigzag(v));
-                }
-                Value::Bool(b) => {
-                    payload.put_u8(1);
-                    payload.put_u8(u8::from(b));
-                }
-                Value::Unit => payload.put_u8(2),
-            }
-        }
-    }
-    let clock = message.clock.normalized();
-    let comps = clock.as_slice();
-    put_varint(&mut payload, comps.len() as u64);
-    for &c in comps {
-        put_varint(&mut payload, u64::from(c));
-    }
-    put_varint(out, payload.len() as u64);
-    out.extend_from_slice(&payload);
-}
-
-/// Decodes every complete compact frame in `bytes`.
-pub fn decode_compact_frames(bytes: &Bytes) -> Result<Vec<Message>, CodecError> {
-    let mut buf = bytes.clone();
-    let mut out = Vec::new();
-    while buf.has_remaining() {
-        let len = get_varint(&mut buf)? as usize;
-        if len > MAX_FRAME_LEN {
-            return Err(CodecError::Oversized(len.min(u32::MAX as usize) as u32));
-        }
-        if buf.remaining() < len {
-            return Err(CodecError::Truncated);
-        }
-        let mut frame = buf.split_to(len);
-        out.push(decode_compact_payload(&mut frame)?);
-    }
-    Ok(out)
-}
-
-fn decode_compact_payload(buf: &mut Bytes) -> Result<Message, CodecError> {
-    let thread = ThreadId(get_varint(buf)? as u32);
-    if !buf.has_remaining() {
-        return Err(CodecError::Truncated);
-    }
-    let kind = match buf.get_u8() {
+fn decode_payload(payload: &[u8]) -> Result<Message, CodecError> {
+    let mut f = Fields(payload);
+    let thread = ThreadId(f.u32()?);
+    let kind = match f.u8()? {
         0 => EventKind::Internal,
         1 => EventKind::Read {
-            var: VarId(get_varint(buf)? as u32),
+            var: VarId(f.u32()?),
         },
         2 => {
-            let var = VarId(get_varint(buf)? as u32);
-            if !buf.has_remaining() {
-                return Err(CodecError::Truncated);
-            }
-            let value = match buf.get_u8() {
-                0 => Value::Int(unzigzag(get_varint(buf)?)),
-                1 => {
-                    if !buf.has_remaining() {
-                        return Err(CodecError::Truncated);
-                    }
-                    Value::Bool(buf.get_u8() != 0)
-                }
+            let var = VarId(f.u32()?);
+            let value = match f.u8()? {
+                0 => Value::Int(i64::from_le_bytes(f.take()?)),
+                1 => Value::Bool(f.u8()? != 0),
                 2 => Value::Unit,
                 t => return Err(CodecError::BadTag(t)),
             };
@@ -628,274 +320,87 @@ fn decode_compact_payload(buf: &mut Bytes) -> Result<Message, CodecError> {
         }
         t => return Err(CodecError::BadTag(t)),
     };
-    let n = get_varint(buf)? as usize;
-    if n > u16::MAX as usize {
-        return Err(CodecError::Truncated);
-    }
-    let mut components = Vec::with_capacity(n);
-    for _ in 0..n {
-        components.push(get_varint(buf)? as u32);
-    }
-    Ok(Message {
+    let n = usize::from(u16::from_le_bytes(f.take()?));
+    let clock = f.0.get(..n * 4).ok_or(CodecError::Truncated)?;
+    let components: Vec<u32> = clock
+        .chunks_exact(4)
+        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+        .collect();
+    let message = Message {
         event: Event { thread, kind },
         clock: VectorClock::from_components(components),
-    })
-}
-
-fn put_varint(out: &mut BytesMut, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.put_u8(byte);
-            return;
-        }
-        out.put_u8(byte | 0x80);
+    };
+    if message.seq() == 0 {
+        return Err(CodecError::Unsequenced);
     }
-}
-
-fn get_varint(buf: &mut Bytes) -> Result<u64, CodecError> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        if !buf.has_remaining() {
-            return Err(CodecError::Truncated);
-        }
-        let byte = buf.get_u8();
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-        if shift >= 64 {
-            return Err(CodecError::BadTag(byte));
-        }
-    }
-}
-
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-#[cfg(test)]
-mod compact_tests {
-    use super::*;
-
-    fn roundtrip(msg: Message) {
-        let mut buf = BytesMut::new();
-        encode_compact_frame(&msg, &mut buf);
-        let decoded = decode_compact_frames(&buf.freeze()).unwrap();
-        // Clocks are normalized by the compact encoding; compare modulo
-        // trailing zeros.
-        assert_eq!(decoded.len(), 1);
-        assert_eq!(decoded[0].event, msg.event);
-        assert_eq!(decoded[0].clock, msg.clock.normalized());
-    }
-
-    #[test]
-    fn compact_roundtrips() {
-        roundtrip(Message {
-            event: Event::write(ThreadId(3), VarId(700), -42i64),
-            clock: VectorClock::from_components(vec![1, 0, 5, 0, 0]),
-        });
-        roundtrip(Message {
-            event: Event::read(ThreadId(0), VarId(0)),
-            clock: VectorClock::new(),
-        });
-        roundtrip(Message {
-            event: Event::write(ThreadId(1), VarId(2), Value::Unit),
-            clock: VectorClock::from_components(vec![i64::MAX as u32 >> 16, 2]),
-        });
-        roundtrip(Message {
-            event: Event::write(ThreadId(9), VarId(1), true),
-            clock: VectorClock::from_components(vec![300]),
-        });
-        roundtrip(Message {
-            event: Event::internal(ThreadId(200)),
-            clock: VectorClock::from_components(vec![0, 0, 9]),
-        });
-    }
-
-    #[test]
-    fn compact_is_smaller_on_typical_messages() {
-        use jmpax_core::gen::{random_execution, RandomExecutionConfig};
-        use jmpax_core::Relevance;
-        let ex = random_execution(RandomExecutionConfig {
-            threads: 4,
-            vars: 8,
-            events: 2_000,
-            write_ratio: 0.5,
-            internal_ratio: 0.0,
-            seed: 3,
-        });
-        let msgs = ex.instrument(Relevance::AllWrites);
-        let mut plain = BytesMut::new();
-        let mut compact = BytesMut::new();
-        for m in &msgs {
-            encode_frame(m, &mut plain);
-            encode_compact_frame(m, &mut compact);
-        }
-        assert!(
-            compact.len() * 2 < plain.len(),
-            "compact {} vs plain {}",
-            compact.len(),
-            plain.len()
-        );
-        // And it all decodes back.
-        let decoded = decode_compact_frames(&compact.freeze()).unwrap();
-        assert_eq!(decoded.len(), msgs.len());
-    }
-
-    #[test]
-    fn zigzag_edge_cases() {
-        for v in [0i64, 1, -1, i64::MAX, i64::MIN, 1234567, -7654321] {
-            assert_eq!(unzigzag(zigzag(v)), v);
-        }
-    }
-
-    #[test]
-    fn compact_truncation_detected() {
-        let mut buf = BytesMut::new();
-        encode_compact_frame(
-            &Message {
-                event: Event::write(ThreadId(1), VarId(1), 99i64),
-                clock: VectorClock::from_components(vec![1, 2]),
-            },
-            &mut buf,
-        );
-        let full = buf.freeze();
-        for cut in 1..full.len() {
-            assert!(
-                decode_compact_frames(&full.slice(..cut)).is_err(),
-                "cut {cut} must fail"
-            );
-        }
-    }
+    Ok(message)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn roundtrip(msg: Message) {
-        let mut buf = BytesMut::new();
-        encode_frame(&msg, &mut buf);
-        let decoded = decode_frames(&buf.freeze()).unwrap();
-        assert_eq!(decoded, vec![msg]);
-    }
-
-    #[test]
-    fn roundtrip_write_int() {
-        roundtrip(Message {
-            event: Event::write(ThreadId(3), VarId(7), -42i64),
-            clock: VectorClock::from_components(vec![1, 0, 5]),
-        });
-    }
-
-    #[test]
-    fn roundtrip_write_bool_and_unit() {
-        roundtrip(Message {
-            event: Event::write(ThreadId(0), VarId(0), true),
-            clock: VectorClock::new(),
-        });
-        roundtrip(Message {
-            event: Event::write(ThreadId(0), VarId(1), Value::Unit),
-            clock: VectorClock::from_components(vec![9]),
-        });
-    }
-
-    #[test]
-    fn roundtrip_read_and_internal() {
-        roundtrip(Message {
-            event: Event::read(ThreadId(1), VarId(2)),
-            clock: VectorClock::from_components(vec![0, 1]),
-        });
-        roundtrip(Message {
-            event: Event::internal(ThreadId(9)),
-            clock: VectorClock::from_components(vec![0, 0, 0, 4]),
-        });
-    }
-
-    #[test]
-    fn multiple_frames_in_sequence() {
-        let mut buf = BytesMut::new();
-        let msgs: Vec<Message> = (0..10)
-            .map(|i| Message {
-                event: Event::write(ThreadId(i), VarId(i), i64::from(i)),
-                clock: VectorClock::from_components(vec![i; (i as usize % 3) + 1]),
-            })
-            .collect();
-        for m in &msgs {
-            encode_frame(m, &mut buf);
+    /// An independent whole-buffer scanner, the test oracle: over any
+    /// chunking, [`ResilientFrameDecoder`] must hand out the same messages
+    /// and counters as this one pass.
+    fn decode_frames_resilient(buf: &[u8]) -> (Vec<Message>, ResilientDecode) {
+        let mut messages = Vec::new();
+        let mut out = ResilientDecode::default();
+        let mut pos = 0usize;
+        // True while inside a garbage run; the first credible frame after
+        // a run closes it and counts one resync.
+        let mut scanning = false;
+        while pos < buf.len() {
+            match credible_header(buf, pos) {
+                Some((len, _)) if buf.len() - (pos + HEADER_LEN) < len => {
+                    // Credible header but the stream ends inside the
+                    // payload: a cut-off tail.
+                    out.truncated = true;
+                    out.bytes_skipped += (buf.len() - pos) as u64;
+                    return (messages, out);
+                }
+                Some((len, crc)) => {
+                    if scanning {
+                        scanning = false;
+                        out.frames_resynced += 1;
+                    }
+                    let body_at = pos + HEADER_LEN;
+                    match decode_frame_payload(&buf[body_at..body_at + len], crc) {
+                        Some(m) => {
+                            messages.push(m);
+                            out.frames_ok += 1;
+                        }
+                        None => out.frames_corrupt += 1,
+                    }
+                    pos = body_at + len;
+                }
+                None => {
+                    scanning = true;
+                    out.bytes_skipped += 1;
+                    pos += 1;
+                }
+            }
         }
-        assert_eq!(decode_frames(&buf.freeze()).unwrap(), msgs);
+        // A garbage run that reaches the end never resynced: whatever it
+        // held did not complete a frame.
+        out.truncated = scanning;
+        (messages, out)
     }
 
-    #[test]
-    fn truncated_frames_rejected() {
-        let mut buf = BytesMut::new();
-        encode_frame(
-            &Message {
-                event: Event::internal(ThreadId(0)),
-                clock: VectorClock::new(),
-            },
-            &mut buf,
-        );
-        let full = buf.freeze();
-        for cut in 1..full.len() {
-            let partial = full.slice(..cut);
-            assert_eq!(
-                decode_frames(&partial),
-                Err(CodecError::Truncated),
-                "cut at {cut}"
-            );
-        }
+    /// One push plus finish: the whole-buffer use of the decoder.
+    fn decode_all(buf: &[u8]) -> (Vec<Message>, ResilientDecode) {
+        let mut dec = ResilientFrameDecoder::new();
+        let messages = dec.push(buf);
+        (messages, dec.finish())
     }
-
-    #[test]
-    fn bad_tags_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(5);
-        buf.put_u32_le(0); // thread
-        buf.put_u8(9); // bogus kind
-        assert_eq!(decode_frames(&buf.freeze()), Err(CodecError::BadTag(9)));
-    }
-
-    #[test]
-    fn empty_buffer_is_ok() {
-        assert_eq!(decode_frames(&Bytes::new()).unwrap(), vec![]);
-    }
-
-    #[test]
-    fn oversized_prefix_rejected_without_allocation() {
-        let mut buf = BytesMut::new();
-        buf.put_u32_le(u32::MAX); // would be a 4 GiB "frame"
-        assert_eq!(
-            decode_frames(&buf.freeze()),
-            Err(CodecError::Oversized(u32::MAX))
-        );
-        let mut compact = BytesMut::new();
-        put_varint(&mut compact, (MAX_FRAME_LEN + 1) as u64);
-        assert_eq!(
-            decode_compact_frames(&compact.freeze()),
-            Err(CodecError::Oversized(MAX_FRAME_LEN as u32 + 1))
-        );
-    }
-}
-
-#[cfg(test)]
-mod v2_tests {
-    use super::*;
 
     fn sample_messages() -> Vec<Message> {
         (0..12)
             .map(|i| Message {
                 event: Event::write(ThreadId(i % 3), VarId(i), i64::from(i) - 5),
-                clock: VectorClock::from_components(vec![i + 1; (i as usize % 4) + 1]),
+                // At least `thread + 1` components, so every message has a
+                // nonzero sequence number.
+                clock: VectorClock::from_components(vec![i + 1; (i % 3 + 1 + i % 2) as usize]),
             })
             .collect()
     }
@@ -908,6 +413,23 @@ mod v2_tests {
         buf
     }
 
+    /// A frame with a valid header and CRC around an arbitrary payload.
+    fn frame_around(payload: &[u8]) -> Vec<u8> {
+        let mut buf = vec![MAGIC, VERSION];
+        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        buf.extend_from_slice(&crc32(payload).to_le_bytes());
+        buf.extend_from_slice(payload);
+        buf
+    }
+
+    fn unhex(s: &str) -> Vec<u8> {
+        let digits: Vec<u8> = s.bytes().filter(u8::is_ascii_hexdigit).collect();
+        digits
+            .chunks(2)
+            .map(|p| u8::from_str_radix(std::str::from_utf8(p).unwrap(), 16).unwrap())
+            .collect()
+    }
+
     #[test]
     fn crc32_known_vectors() {
         // Standard IEEE check values.
@@ -916,60 +438,151 @@ mod v2_tests {
     }
 
     #[test]
-    fn v2_roundtrips() {
-        let msgs = sample_messages();
-        let buf = encode_all(&msgs).freeze();
-        assert_eq!(decode_frames_v2(&buf).unwrap(), msgs);
-        let r = decode_frames_resilient(&buf);
-        assert!(r.is_clean());
-        assert_eq!(r.messages, msgs);
-        assert_eq!(r.frames_ok, msgs.len() as u64);
+    fn frames_match_golden_bytes() {
+        // header: magic version len crc | payload: thread kind body | clock
+        let wide: Vec<u32> = (1..=16).collect();
+        let cases = [
+            (
+                Event::write(ThreadId(1), VarId(7), -42i64),
+                vec![1, 2],
+                "a5 02 1c000000 2ad0f45f | 01000000 02 07000000 00 d6ffffffffffffff \
+                 | 0200 01000000 02000000",
+            ),
+            (
+                Event::write(ThreadId(0), VarId(3), true),
+                vec![3],
+                "a5 02 11000000 67e1196d | 00000000 02 03000000 01 01 | 0100 03000000",
+            ),
+            (
+                Event::write(ThreadId(2), VarId(0), Value::Unit),
+                vec![0, 0, 1],
+                "a5 02 18000000 8c836fdc | 02000000 02 00000000 02 \
+                 | 0300 00000000 00000000 01000000",
+            ),
+            (
+                Event::read(ThreadId(0), VarId(5)),
+                vec![2, 1],
+                "a5 02 13000000 cfcc3c19 | 00000000 01 05000000 | 0200 02000000 01000000",
+            ),
+            (
+                Event::internal(ThreadId(1)),
+                vec![0, 4],
+                "a5 02 0f000000 659fbfe5 | 01000000 00 | 0200 00000000 04000000",
+            ),
+            (
+                Event::write(ThreadId(15), VarId(1), 1_000_000i64),
+                wide,
+                "a5 02 54000000 04e1a4eb | 0f000000 02 01000000 00 40420f0000000000 \
+                 | 1000 01000000 02000000 03000000 04000000 05000000 06000000 07000000 \
+                 08000000 09000000 0a000000 0b000000 0c000000 0d000000 0e000000 0f000000 \
+                 10000000",
+            ),
+        ];
+        for (event, clock, golden) in cases {
+            let message = Message {
+                event,
+                clock: VectorClock::from_components(clock),
+            };
+            let mut out = BytesMut::new();
+            encode_frame_v2(&message, &mut out);
+            assert_eq!(&out[..], &unhex(golden)[..], "{message}");
+        }
     }
 
     #[test]
-    fn v2_strict_rejects_damage() {
-        let msgs = sample_messages();
-        let mut buf = encode_all(&msgs);
-        buf[V2_HEADER_LEN + 2] ^= 0x40; // flip a payload bit in frame 0
-        assert!(matches!(
-            decode_frames_v2(&buf.clone().freeze()),
-            Err(CodecError::CrcMismatch { .. })
-        ));
-        let mut bad_magic = encode_all(&msgs);
-        bad_magic[0] = 0x00;
+    fn every_kind_and_value_round_trips() {
+        let msgs = vec![
+            Message {
+                event: Event::write(ThreadId(3), VarId(7), -42i64),
+                clock: VectorClock::from_components(vec![1, 0, 5, 1]),
+            },
+            Message {
+                event: Event::write(ThreadId(0), VarId(0), true),
+                clock: VectorClock::from_components(vec![1]),
+            },
+            Message {
+                event: Event::write(ThreadId(0), VarId(1), Value::Unit),
+                clock: VectorClock::from_components(vec![9]),
+            },
+            Message {
+                event: Event::read(ThreadId(1), VarId(2)),
+                clock: VectorClock::from_components(vec![0, 1]),
+            },
+            Message {
+                event: Event::internal(ThreadId(3)),
+                clock: VectorClock::from_components(vec![0, 0, 0, 4]),
+            },
+        ];
+        let (decoded, tally) = decode_all(&encode_all(&msgs));
+        assert_eq!(decoded, msgs);
         assert_eq!(
-            decode_frames_v2(&bad_magic.freeze()),
-            Err(CodecError::BadMagic(0))
+            tally,
+            ResilientDecode {
+                frames_ok: msgs.len() as u64,
+                ..ResilientDecode::default()
+            }
         );
-        let mut bad_version = encode_all(&msgs);
-        bad_version[1] = 9;
-        assert_eq!(
-            decode_frames_v2(&bad_version.freeze()),
-            Err(CodecError::BadVersion(9))
-        );
+        assert_eq!(decode_all(&[]), (vec![], ResilientDecode::default()));
     }
 
     #[test]
-    fn resilient_steps_over_corrupt_frame() {
+    fn malformed_payloads_count_as_corrupt() {
+        let good = encode_all(&sample_messages()[..1]);
+        let payload = &good[HEADER_LEN..];
+        let bad_kind = {
+            let mut p = payload.to_vec();
+            p[4] = 9;
+            p
+        };
+        let cut_clock = &payload[..payload.len() - 1];
+        for bad in [&bad_kind[..], cut_clock, &payload[..3]] {
+            let mut stream = frame_around(bad);
+            stream.extend_from_slice(&good);
+            let (decoded, tally) = decode_all(&stream);
+            assert_eq!(decoded.len(), 1, "the next frame still decodes");
+            assert_eq!((tally.frames_ok, tally.frames_corrupt), (1, 1));
+            assert!(!tally.truncated);
+        }
+        assert_eq!(decode_payload(&bad_kind), Err(CodecError::BadTag(9)));
+        assert_eq!(decode_payload(cut_clock), Err(CodecError::Truncated));
+    }
+
+    #[test]
+    fn a_message_without_a_sequence_number_is_corrupt() {
+        // CRC-valid, well-formed, but thread 1's own clock component is 0
+        // (or missing): it cannot be placed in thread 1's sequence.
+        for clock in [vec![1], vec![1, 0]] {
+            let unplaceable = Message {
+                event: Event::write(ThreadId(1), VarId(0), -1i64),
+                clock: VectorClock::from_components(clock),
+            };
+            let frame = encode_all(&[unplaceable]);
+            let (decoded, tally) = decode_all(&frame);
+            assert!(decoded.is_empty());
+            assert_eq!((tally.frames_ok, tally.frames_corrupt), (0, 1));
+            let payload = &frame[HEADER_LEN..];
+            assert_eq!(decode_payload(payload), Err(CodecError::Unsequenced));
+        }
+    }
+
+    #[test]
+    fn steps_over_corrupt_frame() {
         let msgs = sample_messages();
         let mut buf = encode_all(&msgs);
         // Flip one payload bit in the second frame; its length field stays
         // intact, so exactly one frame is lost and no resync is needed.
-        let frame_len = {
-            let first = u32::from_le_bytes([buf[2], buf[3], buf[4], buf[5]]) as usize;
-            V2_HEADER_LEN + first
-        };
-        buf[frame_len + V2_HEADER_LEN + 1] ^= 0x10;
-        let r = decode_frames_resilient(&buf.freeze());
+        let first_len = HEADER_LEN + u32::from_le_bytes([buf[2], buf[3], buf[4], buf[5]]) as usize;
+        buf[first_len + HEADER_LEN + 1] ^= 0x10;
+        let (decoded, r) = decode_all(&buf);
         assert_eq!(r.frames_corrupt, 1);
         assert_eq!(r.frames_resynced, 0);
         assert_eq!(r.frames_ok, msgs.len() as u64 - 1);
-        assert_eq!(r.messages.len(), msgs.len() - 1);
+        assert_eq!(decoded.len(), msgs.len() - 1);
         assert!(!r.truncated);
     }
 
     #[test]
-    fn resilient_resyncs_over_garbage() {
+    fn resyncs_over_garbage() {
         let msgs = sample_messages();
         let mut buf = BytesMut::new();
         encode_frame_v2(&msgs[0], &mut buf);
@@ -977,46 +590,45 @@ mod v2_tests {
         encode_frame_v2(&msgs[1], &mut buf);
         buf.extend_from_slice(&[0x42; 11]);
         encode_frame_v2(&msgs[2], &mut buf);
-        let r = decode_frames_resilient(&buf.freeze());
+        let (decoded, r) = decode_all(&buf);
         assert_eq!(r.frames_ok, 3);
         assert_eq!(r.frames_resynced, 2);
         assert_eq!(r.bytes_skipped, 18);
-        assert_eq!(r.messages, msgs[..3].to_vec());
+        assert_eq!(decoded, msgs[..3].to_vec());
     }
 
     #[test]
-    fn resilient_reports_truncated_tail() {
+    fn reports_truncated_tail() {
         let msgs = sample_messages();
-        let buf = encode_all(&msgs[..2]).freeze();
-        for cut in 1..V2_HEADER_LEN {
+        let buf = encode_all(&msgs[..2]);
+        let first_len = HEADER_LEN + u32::from_le_bytes([buf[2], buf[3], buf[4], buf[5]]) as usize;
+        for cut in 1..HEADER_LEN {
             // Cut inside the second frame's header.
-            let first_len =
-                V2_HEADER_LEN + u32::from_le_bytes([buf[2], buf[3], buf[4], buf[5]]) as usize;
-            let r = decode_frames_resilient(&buf.slice(..first_len + cut));
+            let (_, r) = decode_all(&buf[..first_len + cut]);
             assert!(r.truncated, "cut {cut} must look truncated");
             assert_eq!(r.frames_ok, 1);
             assert_eq!(r.frames_corrupt, 0);
         }
         // Cut inside the second payload.
-        let r = decode_frames_resilient(&buf.slice(..buf.len() - 3));
+        let (_, r) = decode_all(&buf[..buf.len() - 3]);
         assert!(r.truncated);
         assert_eq!(r.frames_ok, 1);
     }
 
     #[test]
-    fn resilient_handles_pure_garbage_and_empty() {
-        assert!(decode_frames_resilient(&Bytes::new()).is_clean());
-        let r = decode_frames_resilient(&Bytes::from_static(&[0x13, 0x37, 0xAB]));
-        assert_eq!(r.frames_ok, 0);
+    fn pure_garbage_is_skipped_and_flagged() {
+        let (decoded, r) = decode_all(&[0x13, 0x37, 0xAB]);
+        assert!(decoded.is_empty());
         assert_eq!(r.bytes_skipped, 3);
         assert_eq!(
             r.frames_resynced, 0,
             "a run that never recovers is not a resync"
         );
+        assert!(r.truncated, "the stream ended without completing a frame");
     }
 
     #[test]
-    fn resilient_rejects_absurd_length_as_garbage() {
+    fn rejects_absurd_length_as_garbage() {
         // A magic + version header whose length claims 4 GiB must be
         // treated as garbage (skipped), not allocated.
         let mut buf = BytesMut::new();
@@ -1025,107 +637,97 @@ mod v2_tests {
         buf.put_u32_le(u32::MAX);
         buf.put_u32_le(0);
         buf.extend_from_slice(&[0u8; 16]);
-        let r = decode_frames_resilient(&buf.freeze());
+        let (_, r) = decode_all(&buf);
         assert_eq!(r.frames_ok, 0);
-        assert!(r.bytes_skipped > 0);
+        assert_eq!(r.bytes_skipped, buf.len() as u64);
     }
 
     #[test]
-    fn resilient_steps_past_decoy_magic_in_garbage() {
+    fn steps_past_decoy_magic_in_garbage() {
         // Garbage between two frames that itself contains MAGIC bytes with
         // a wrong version — the scanner must not lock onto them.
         let msgs = sample_messages();
         let mut buf = BytesMut::new();
         encode_frame_v2(&msgs[0], &mut buf);
-        buf.extend_from_slice(&[MAGIC, 0x07, MAGIC, 0xFF, 0x00, MAGIC, 0x01, 0x02, 0x03, 0x04]);
+        buf.extend_from_slice(&[
+            MAGIC, 0x07, MAGIC, 0xFF, 0x00, MAGIC, 0x01, 0x02, 0x03, 0x04,
+        ]);
         encode_frame_v2(&msgs[1], &mut buf);
-        let r = decode_frames_resilient(&buf.freeze());
+        let (decoded, r) = decode_all(&buf);
         assert_eq!(r.frames_ok, 2);
         assert_eq!(r.frames_resynced, 1);
         assert_eq!(r.bytes_skipped, 10);
-        assert_eq!(r.messages, msgs[..2].to_vec());
+        assert_eq!(decoded, msgs[..2].to_vec());
         assert!(!r.truncated);
     }
 
     #[test]
-    fn resilient_truncation_inside_garbage_is_not_a_cut_frame() {
-        // A stream that ends mid-garbage (no credible header in sight) is
-        // skipped bytes, not a truncated frame.
+    fn a_garbage_tail_is_truncation() {
+        // A last frame whose magic byte was hit reads as garbage up to the
+        // end of the stream: that frame is lost, so the tail must not pass
+        // for a clean end.
         let msgs = sample_messages();
-        let mut buf = BytesMut::new();
-        encode_frame_v2(&msgs[0], &mut buf);
-        buf.extend_from_slice(&[0x00, 0x11, 0x22, 0x33]);
-        let r = decode_frames_resilient(&buf.freeze());
-        assert_eq!(r.frames_ok, 1);
-        assert_eq!(r.bytes_skipped, 4);
-        assert!(!r.truncated, "garbage tail is not a cut-off frame");
+        let mut buf = encode_all(&msgs[..2]);
+        let first_len = HEADER_LEN + u32::from_le_bytes([buf[2], buf[3], buf[4], buf[5]]) as usize;
+        buf[first_len] ^= 0x01;
+        let (decoded, r) = decode_all(&buf);
+        assert_eq!(decoded, msgs[..1].to_vec());
+        assert_eq!(r.bytes_skipped, (buf.len() - first_len) as u64);
+        assert!(r.truncated);
 
-        // ...but a garbage run that ends on a MAGIC byte still reads as a
-        // possible cut-off header only when outside the run. Here the run
-        // swallows it.
-        let mut buf = BytesMut::new();
-        encode_frame_v2(&msgs[0], &mut buf);
+        // A run ending on a MAGIC byte is the same garbage run.
+        let mut buf = encode_all(&msgs[..1]);
         buf.extend_from_slice(&[0x99, 0x98, MAGIC, VERSION]);
-        let r = decode_frames_resilient(&buf.freeze());
-        assert_eq!(r.frames_ok, 1);
-        assert_eq!(r.bytes_skipped, 4);
-        assert!(!r.truncated);
+        let (_, r) = decode_all(&buf);
+        assert_eq!((r.frames_ok, r.bytes_skipped, r.frames_resynced), (1, 4, 0));
+        assert!(r.truncated);
     }
 
     #[test]
-    fn resilient_garbage_prefix_before_first_frame() {
+    fn garbage_prefix_before_first_frame() {
         let msgs = sample_messages();
         let mut buf = BytesMut::new();
         buf.extend_from_slice(&[0xFE, 0xFD, 0xFC]);
         encode_frame_v2(&msgs[0], &mut buf);
-        let r = decode_frames_resilient(&buf.freeze());
+        let (decoded, r) = decode_all(&buf);
         assert_eq!(r.frames_ok, 1);
         assert_eq!(r.frames_resynced, 1);
         assert_eq!(r.bytes_skipped, 3);
-        assert_eq!(r.messages, msgs[..1].to_vec());
+        assert_eq!(decoded, msgs[..1].to_vec());
     }
 
-    /// Feeds `stream` through [`ResilientFrameDecoder`] at several chunk
-    /// granularities (including byte-at-a-time) and asserts the decoded
-    /// messages and every counter match a single whole-buffer
-    /// [`decode_frames_resilient`] pass.
+    /// Feeds `stream` through [`ResilientFrameDecoder`] in `chunks` and
+    /// asserts the retained tail stays bounded and the messages and every
+    /// counter match the whole-buffer oracle.
+    fn assert_chunked_matches_oracle(stream: &[u8], chunks: impl IntoIterator<Item = usize>) {
+        let oracle = decode_frames_resilient(stream);
+        let mut dec = ResilientFrameDecoder::new();
+        let mut msgs = Vec::new();
+        let mut rest = stream;
+        for size in chunks {
+            let (part, tail) = rest.split_at(size.min(rest.len()));
+            msgs.extend(dec.push(part));
+            rest = tail;
+            assert!(
+                dec.buffered() <= HEADER_LEN + MAX_FRAME_LEN,
+                "retained tail stays bounded"
+            );
+        }
+        msgs.extend(dec.push(rest));
+        assert_eq!((msgs, dec.finish()), oracle);
+    }
+
+    /// [`assert_chunked_matches_oracle`] at fixed granularities, including
+    /// byte-at-a-time and one push.
     fn assert_incremental_parity(stream: &[u8]) {
-        let mut whole_buf = BytesMut::with_capacity(stream.len());
-        whole_buf.extend_from_slice(stream);
-        let whole = decode_frames_resilient(&whole_buf.freeze());
         for chunk in [1usize, 2, 3, 5, 8, 13, stream.len().max(1)] {
-            let mut dec = ResilientFrameDecoder::new();
-            let mut msgs = Vec::new();
-            for part in stream.chunks(chunk) {
-                msgs.extend(dec.push(part));
-                assert!(
-                    dec.buffered() <= V2_HEADER_LEN + MAX_FRAME_LEN,
-                    "retained tail stays bounded"
-                );
-            }
-            let tally = dec.finish();
-            assert_eq!(msgs, whole.messages, "messages diverge at chunk={chunk}");
-            assert_eq!(tally.frames_ok, whole.frames_ok, "frames_ok, chunk={chunk}");
-            assert_eq!(
-                tally.frames_corrupt, whole.frames_corrupt,
-                "frames_corrupt, chunk={chunk}"
-            );
-            assert_eq!(
-                tally.frames_resynced, whole.frames_resynced,
-                "frames_resynced, chunk={chunk}"
-            );
-            assert_eq!(
-                tally.bytes_skipped, whole.bytes_skipped,
-                "bytes_skipped, chunk={chunk}"
-            );
-            assert_eq!(tally.truncated, whole.truncated, "truncated, chunk={chunk}");
+            assert_chunked_matches_oracle(stream, std::iter::repeat_n(chunk, stream.len()));
         }
     }
 
     #[test]
     fn incremental_matches_whole_buffer_on_clean_stream() {
-        let msgs = sample_messages();
-        assert_incremental_parity(&encode_all(&msgs));
+        assert_incremental_parity(&encode_all(&sample_messages()));
     }
 
     #[test]
@@ -1142,15 +744,15 @@ mod v2_tests {
 
         // A frame with a flipped payload bit (corrupt-in-place).
         let mut corrupt = encode_all(&msgs[..4]);
-        corrupt[V2_HEADER_LEN + 3] ^= 0x08;
+        corrupt[HEADER_LEN + 3] ^= 0x08;
         assert_incremental_parity(&corrupt);
 
         // Truncated mid-payload and mid-header.
         let clean = encode_all(&msgs[..3]);
         assert_incremental_parity(&clean[..clean.len() - 2]);
         let first_len =
-            V2_HEADER_LEN + u32::from_le_bytes([clean[2], clean[3], clean[4], clean[5]]) as usize;
-        for cut in 1..V2_HEADER_LEN {
+            HEADER_LEN + u32::from_le_bytes([clean[2], clean[3], clean[4], clean[5]]) as usize;
+        for cut in 1..HEADER_LEN {
             assert_incremental_parity(&clean[..first_len + cut]);
         }
 
@@ -1163,11 +765,7 @@ mod v2_tests {
     #[test]
     fn incremental_emits_messages_as_frames_complete() {
         let msgs = sample_messages();
-        let frame = {
-            let mut b = BytesMut::new();
-            encode_frame_v2(&msgs[0], &mut b);
-            b
-        };
+        let frame = encode_all(&msgs[..1]);
         let mut dec = ResilientFrameDecoder::new();
         // Everything but the last byte: nothing decodes, bytes retained.
         assert!(dec.push(&frame[..frame.len() - 1]).is_empty());
@@ -1178,6 +776,147 @@ mod v2_tests {
         assert_eq!(dec.buffered(), 0);
         let tally = dec.finish();
         assert_eq!(tally.frames_ok, 1);
-        assert!(tally.is_clean());
+        assert_eq!(tally.bytes_skipped, 0);
+        assert!(!tally.truncated);
+    }
+
+    /// Deterministic fuzzing of [`ResilientFrameDecoder`]: Algorithm A's
+    /// frames mixed with garbage, bit flips and truncation, fed in random
+    /// chunkings, with fixed seeds.
+    mod fuzz {
+        use super::*;
+        use jmpax_core::gen::{random_execution, RandomExecutionConfig};
+        use jmpax_core::Relevance;
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, RngCore, SeedableRng};
+
+        /// One stretch of a fuzzed stream: a (possibly damaged) frame or a
+        /// garbage run.
+        struct Piece {
+            end: usize,
+            damaged: bool,
+        }
+
+        struct Case {
+            bytes: Vec<u8>,
+            /// Whether any byte that survived the cut was damaged, or the
+            /// cut fell inside a piece.
+            damaged: bool,
+            /// Undamaged frames wholly before the cut.
+            intact: Vec<Message>,
+        }
+
+        fn case(seed: u64) -> Case {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let messages = random_execution(RandomExecutionConfig {
+                threads: rng.gen_range(1..=4),
+                vars: 3,
+                events: rng.gen_range(0..60),
+                write_ratio: 0.7,
+                internal_ratio: 0.1,
+                seed: rng.next_u64(),
+            })
+            .instrument(Relevance::AllWrites);
+            let mut bytes = Vec::new();
+            let mut pieces = Vec::new();
+            for m in &messages {
+                if rng.gen_bool(0.08) {
+                    // Garbage rich in decoy header bytes.
+                    for _ in 0..rng.gen_range(1..24) {
+                        let b = [MAGIC, VERSION, 0, rng.next_u64() as u8];
+                        bytes.push(*b.choose(&mut rng).unwrap());
+                    }
+                    pieces.push((
+                        Piece {
+                            end: bytes.len(),
+                            damaged: true,
+                        },
+                        None,
+                    ));
+                }
+                let start = bytes.len();
+                let mut frame = BytesMut::new();
+                encode_frame_v2(m, &mut frame);
+                bytes.extend_from_slice(&frame);
+                let flip = rng.gen_bool(0.08);
+                if flip {
+                    let bit = rng.gen_range(0..frame.len() * 8);
+                    bytes[start + bit / 8] ^= 1 << (bit % 8);
+                }
+                pieces.push((
+                    Piece {
+                        end: bytes.len(),
+                        damaged: flip,
+                    },
+                    Some(m),
+                ));
+            }
+            let cut = if rng.gen_bool(0.2) {
+                rng.gen_range(0..=bytes.len())
+            } else {
+                bytes.len()
+            };
+            bytes.truncate(cut);
+            let mut damaged = false;
+            let mut intact = Vec::new();
+            let mut start = 0;
+            for (piece, message) in &pieces {
+                if start >= cut {
+                    break;
+                }
+                damaged |= piece.damaged || piece.end > cut;
+                if let (false, Some(m)) = (damaged, message) {
+                    intact.push((*m).clone());
+                }
+                start = piece.end;
+            }
+            Case {
+                bytes,
+                damaged,
+                intact,
+            }
+        }
+
+        fn random_chunks(rng: &mut StdRng, len: usize) -> Vec<usize> {
+            let max = rng.gen_range(1..=len.max(1));
+            (0..len).map(|_| rng.gen_range(1..=max)).collect()
+        }
+
+        fn run(seeds: std::ops::Range<u64>) {
+            let mut damaged_cases = 0usize;
+            let cases = seeds.end - seeds.start;
+            for seed in seeds {
+                let c = case(seed);
+                damaged_cases += usize::from(c.damaged);
+                let (messages, tally) = decode_frames_resilient(&c.bytes);
+                assert_chunked_matches_oracle(&c.bytes, [c.bytes.len()]);
+                let mut rng = StdRng::seed_from_u64(!seed);
+                for _ in 0..3 {
+                    assert_chunked_matches_oracle(&c.bytes, random_chunks(&mut rng, c.bytes.len()));
+                }
+                let faulted = tally.frames_corrupt + tally.frames_resynced > 0 || tally.truncated;
+                assert_eq!(faulted, c.damaged, "seed {seed}: {tally:?}");
+                if !c.damaged {
+                    assert_eq!(messages, c.intact, "seed {seed}");
+                }
+            }
+            // Both sides of the property must actually be exercised.
+            assert!(
+                damaged_cases > 0 && (damaged_cases as u64) < cases,
+                "{damaged_cases}"
+            );
+        }
+
+        #[test]
+        fn decoder_fuzz_1k() {
+            run(0..1_000);
+        }
+
+        #[test]
+        #[ignore = "10^5 cases; run with --ignored"]
+        fn decoder_fuzz_100k() {
+            run(0..100_000);
+        }
     }
 }

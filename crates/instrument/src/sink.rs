@@ -76,8 +76,8 @@ impl EventSink for ChannelSink {
     }
 }
 
-/// Serializes messages into a shared byte buffer using the length-prefixed
-/// wire format of [`crate::codec`] — standing in for the TCP socket between
+/// Serializes messages into a shared byte buffer as the frames of
+/// [`crate::codec`] — standing in for the TCP socket between
 /// the instrumented JVM and the JMPaX observer (Fig. 4).
 #[derive(Clone, Debug, Default)]
 pub struct FrameSink {
@@ -220,7 +220,7 @@ impl EventSink for FrameSink {
         let start = ring.span_start();
         let mut buffer = self.buffer.lock();
         let before = buffer.len();
-        crate::codec::encode_frame(message, &mut buffer);
+        crate::codec::encode_frame_v2(message, &mut buffer);
         let encoded = buffer.len() - before;
         drop(buffer);
         if ring.is_enabled() {
@@ -344,9 +344,9 @@ impl ChaosInner {
 
 /// A [`FrameSink`] with a fault injector in front of the wire: frames are
 /// dropped, duplicated, reordered within a bounded window, and bit-flipped
-/// at configured rates ([`ChaosConfig`]). Encodes the **v2** format of
+/// at configured rates ([`ChaosConfig`]). Encodes the frames of
 /// [`crate::codec::encode_frame_v2`], so the damage it does is exactly what
-/// [`crate::codec::decode_frames_resilient`] and the lattice `Reassembler`
+/// [`crate::codec::ResilientFrameDecoder`] and the lattice `Reassembler`
 /// are specified to survive.
 #[derive(Clone)]
 pub struct ChaosSink {
@@ -430,7 +430,14 @@ impl EventSink for ChaosSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{ResilientDecode, ResilientFrameDecoder};
     use jmpax_core::{Event, ThreadId, VarId, VectorClock};
+
+    fn decode(bytes: &[u8]) -> (Vec<Message>, ResilientDecode) {
+        let mut decoder = ResilientFrameDecoder::new();
+        let messages = decoder.push(bytes);
+        (messages, decoder.finish())
+    }
 
     fn msg(seq: u32) -> Message {
         Message {
@@ -474,9 +481,9 @@ mod tests {
         let mut writer = sink.clone();
         writer.emit(&msg(1));
         writer.emit(&msg(2));
-        let bytes = sink.take_bytes();
-        let decoded = crate::codec::decode_frames(&bytes).unwrap();
+        let (decoded, tally) = decode(&sink.take_bytes());
         assert_eq!(decoded, vec![msg(1), msg(2)]);
+        assert_eq!(tally.frames_ok, 2);
         assert!(sink.take_bytes().is_empty());
     }
 
@@ -599,7 +606,7 @@ mod tests {
             writer.emit(&msg(i));
         }
         let stats = sink.stats();
-        let r = crate::codec::decode_frames_resilient(&sink.take_bytes());
+        let (_, r) = decode(&sink.take_bytes());
         assert!(stats.corrupted > 20, "corrupted = {}", stats.corrupted);
         // Most flips land in the payload (CRC failure, one frame lost in
         // place); flips in a header can swallow a neighbour, so the
@@ -666,8 +673,14 @@ mod tests {
         for i in 1..=50 {
             writer.emit(&msg(i));
         }
-        let decoded = crate::codec::decode_frames_v2(&sink.take_bytes()).unwrap();
-        assert_eq!(decoded.len(), 50);
+        let (decoded, tally) = decode(&sink.take_bytes());
+        assert_eq!(
+            tally,
+            ResilientDecode {
+                frames_ok: 50,
+                ..ResilientDecode::default()
+            }
+        );
         let in_order: Vec<Message> = (1..=50).map(msg).collect();
         assert_ne!(decoded, in_order, "window 8 must actually shuffle");
         let mut sorted = decoded.clone();

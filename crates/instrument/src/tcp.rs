@@ -43,8 +43,9 @@ pub const MAX_VAR_NAME_LEN: usize = 256;
 /// Most variables a single hello may declare.
 pub const MAX_VARS: usize = 1024;
 
-/// Most threads a single hello may declare.
-pub const MAX_THREADS: u32 = 1 << 16;
+/// Most threads a single hello may declare: a frame's clock length is a
+/// `u16`, so a wider clock cannot be encoded.
+pub const MAX_THREADS: u32 = u16::MAX as u32;
 
 /// Most analysis codes a single hello may request.
 pub const MAX_ANALYSES: usize = 8;
@@ -418,6 +419,21 @@ mod tests {
         // Truncated mid-vars.
         let encoded = sample_hello().encode();
         assert!(SessionHello::decode(&mut &encoded[..encoded.len() - 2]).is_err());
+    }
+
+    #[test]
+    fn hello_rejects_more_threads_than_a_frame_clock_can_hold() {
+        // A frame's clock length is a u16: a 65 536-wide clock would
+        // encode its length as 0.
+        for (threads, accepted) in [(65_535, true), (65_536, false)] {
+            let encoded = SessionHello {
+                threads,
+                ..sample_hello()
+            }
+            .encode();
+            let decoded = SessionHello::decode(&mut &encoded[..]);
+            assert_eq!(decoded.is_ok(), accepted, "{threads} threads");
+        }
     }
 
     #[test]

@@ -37,8 +37,8 @@ pub use live::LiveObserver;
 pub use liveness::{check_lasso, find_lassos, Lasso, Ltl};
 pub use observer::{Observer, Verdict};
 pub use pipeline::{
-    check_compact_frames, check_frames, check_frames_resilient, Pipeline, PipelineConfig,
-    PipelineError, PipelineOutcome, PipelineReport, ResilienceSummary,
+    check_frames, Pipeline, PipelineConfig, PipelineError, PipelineOutcome, PipelineReport,
+    ResilienceSummary,
 };
 pub use races::{detect_races, Race, RaceDetector};
 pub use serve::{

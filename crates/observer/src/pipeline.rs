@@ -22,9 +22,10 @@ use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 use jmpax_core::{AnalysisKind, Execution, Message, Relevance, SymbolTable, VarId};
+use jmpax_instrument::{ResilientDecode, ResilientFrameDecoder};
 use jmpax_lattice::{
-    AnalysisConfig, AnalysisReport, ExpansionPool, StreamReport, StreamingAnalyzer, SuiteBuilder,
-    SuiteReport,
+    AnalysisConfig, AnalysisReport, Exactness, ExpansionPool, StreamReport, StreamingAnalyzer,
+    SuiteBuilder, SuiteReport,
 };
 use jmpax_spec::{parse, Monitor, ParseError, ProgramState};
 use jmpax_telemetry::Registry;
@@ -41,8 +42,6 @@ pub enum PipelineError {
     Monitor(jmpax_spec::monitor::MonitorError),
     /// The message stream was malformed.
     Input(jmpax_lattice::InputError),
-    /// Frame decoding failed.
-    Codec(jmpax_instrument::codec::CodecError),
 }
 
 impl fmt::Display for PipelineError {
@@ -51,7 +50,6 @@ impl fmt::Display for PipelineError {
             PipelineError::Spec(e) => write!(f, "specification error: {e}"),
             PipelineError::Monitor(e) => write!(f, "monitor synthesis error: {e}"),
             PipelineError::Input(e) => write!(f, "message stream error: {e}"),
-            PipelineError::Codec(e) => write!(f, "frame decoding error: {e}"),
         }
     }
 }
@@ -71,11 +69,6 @@ impl From<jmpax_spec::monitor::MonitorError> for PipelineError {
 impl From<jmpax_lattice::InputError> for PipelineError {
     fn from(e: jmpax_lattice::InputError) -> Self {
         PipelineError::Input(e)
-    }
-}
-impl From<jmpax_instrument::codec::CodecError> for PipelineError {
-    fn from(e: jmpax_instrument::codec::CodecError) -> Self {
-        PipelineError::Codec(e)
     }
 }
 
@@ -442,55 +435,52 @@ impl Pipeline {
     }
 }
 
-/// Runs the observer side only, over an encoded frame stream (the bytes a
-/// [`jmpax_instrument::FrameSink`] produced).
-pub fn check_frames(
-    frames: &bytes::Bytes,
-    monitor: Monitor,
-    initial: ProgramState,
-) -> Result<PipelineReport, PipelineError> {
-    let messages = jmpax_instrument::decode_frames(frames)?;
-    conclude(monitor, initial, messages, Relevance::AllWrites)
-}
-
-/// Transport-fault accounting for one [`check_frames_resilient`] pass:
-/// what the codec layer recovered from and what the reassembler had to
-/// give up on.
-#[derive(Clone, Debug)]
+/// Transport-fault accounting for one decoded and reassembled frame
+/// stream: what the frame decoder recovered from and what the reassembler
+/// had to give up on.
+#[derive(Clone, Debug, Default)]
 pub struct ResilienceSummary {
-    /// Frames decoded successfully.
-    pub frames_ok: u64,
-    /// Frames whose CRC failed (payload discarded, stream position kept).
-    pub frames_corrupt: u64,
-    /// Times the scanner had to byte-scan to the next credible header.
-    pub frames_resynced: u64,
-    /// Garbage bytes skipped while resynchronizing.
-    pub bytes_skipped: u64,
-    /// The stream ended inside a frame.
-    pub truncated: bool,
+    /// The frame decoder's counters: frames ok, corrupt and resynced,
+    /// bytes skipped, truncation.
+    pub decode: ResilientDecode,
     /// What the causal reassembler saw: reorders, duplicates, skipped gaps.
     pub reassembly: jmpax_lattice::ReassemblyReport,
 }
 
 impl ResilienceSummary {
+    /// The transport-loss rule: how far any verdict over this stream can
+    /// be trusted. The reassembler's skipped gaps count, and so does every
+    /// frame lost to corruption, a resync or truncation that reassembly
+    /// could not see — a damaged frame at the end of a thread's stream
+    /// leaves no later message to reveal the gap. A damaged stream
+    /// therefore never yields [`Exactness::Exact`].
+    #[must_use]
+    pub fn exactness(&self) -> Exactness {
+        let d = &self.decode;
+        let transport_lost = d.frames_corrupt + d.frames_resynced + u64::from(d.truncated);
+        let unaccounted = transport_lost.saturating_sub(self.reassembly.messages_lost());
+        self.reassembly
+            .exactness()
+            .combine(Exactness::degraded(0, unaccounted))
+    }
+
     /// True when nothing was lost anywhere: the verdict is exact.
     #[must_use]
     pub fn is_clean(&self) -> bool {
-        self.frames_corrupt == 0
-            && self.frames_resynced == 0
-            && !self.truncated
-            && self.reassembly.exactness().is_exact()
+        self.exactness().is_exact()
     }
 }
 
-/// Runs the observer side over a possibly *damaged* frame stream: frames
-/// may be reordered, duplicated, bit-flipped or missing. Instead of
-/// failing like [`check_frames`], this decodes what survives (CRC-validated
-/// v2 frames, resynchronizing past garbage), reassembles per-thread
-/// sequences (skipping gaps after `stall_budget` subsequent arrivals), and
-/// returns a verdict whose [`crate::Verdict::exactness`] reflects exactly
-/// how much was lost. With an undamaged stream the verdict is bit-for-bit
-/// the one [`check_frames`] computes, marked [`jmpax_lattice::Exactness::Exact`].
+/// Runs the observer side over an encoded frame stream (the bytes a
+/// [`jmpax_instrument::FrameSink`] or a live socket produced). Frames may
+/// be reordered, duplicated, bit-flipped or missing: this decodes what
+/// survives (CRC-validated frames, resynchronizing past garbage),
+/// reassembles per-thread sequences (skipping gaps after `stall_budget`
+/// subsequent arrivals), and returns a verdict whose
+/// [`crate::Verdict::exactness`] folds in [`ResilienceSummary::exactness`].
+/// An undamaged stream yields an [`Exactness::Exact`] verdict; pass a
+/// `stall_budget` of at least the message count when delivery may be
+/// arbitrarily shuffled, so no gap is given up while it can still fill.
 ///
 /// Telemetry (when `registry` is enabled): `resilience.frames_corrupt`,
 /// `resilience.frames_resynced`, `resilience.msgs_reordered`,
@@ -503,7 +493,7 @@ impl ResilienceSummary {
 /// Only [`PipelineError::Input`] is possible, and only if the reassembled
 /// stream still violates the per-thread sequencing invariant — which the
 /// gap-skipping clock remap rules out for streams produced by Algorithm A.
-pub fn check_frames_resilient(
+pub fn check_frames(
     frames: &bytes::Bytes,
     monitor: Monitor,
     initial: ProgramState,
@@ -511,72 +501,34 @@ pub fn check_frames_resilient(
     registry: &Registry,
 ) -> Result<(PipelineReport, ResilienceSummary), PipelineError> {
     let decode_span = registry.histogram("observer.stage.decode_ns").start_span();
-    let decoded = jmpax_instrument::decode_frames_resilient(frames);
+    let mut decoder = ResilientFrameDecoder::new();
+    let decoded = decoder.push(frames);
+    let decode = decoder.finish();
     decode_span.finish();
     registry
         .counter("resilience.frames_corrupt")
-        .add(decoded.frames_corrupt);
+        .add(decode.frames_corrupt);
     registry
         .counter("resilience.frames_resynced")
-        .add(decoded.frames_resynced);
+        .add(decode.frames_resynced);
 
     let reassemble_span = registry
         .histogram("observer.stage.reassemble_ns")
         .start_span();
     let mut reassembler = jmpax_lattice::Reassembler::with_stall_budget(stall_budget);
-    reassembler.push_all(decoded.messages);
+    reassembler.push_all(decoded);
     let (messages, reassembly) = reassembler.finish();
     reassemble_span.finish();
     reassembly.record(registry);
+    let summary = ResilienceSummary { decode, reassembly };
 
-    // Transport losses the reassembler could not notice (a corrupted frame
-    // at the end of a thread's stream leaves no later message to reveal the
-    // gap) still mean information is missing — count each as one more
-    // skipped gap so a damaged stream can never yield an Exact verdict.
-    let transport_lost =
-        decoded.frames_corrupt + decoded.frames_resynced + u64::from(decoded.truncated);
-    let unaccounted = transport_lost.saturating_sub(reassembly.messages_lost());
-    let exactness = reassembly
-        .exactness()
-        .combine(jmpax_lattice::Exactness::degraded(0, unaccounted));
-    let summary = ResilienceSummary {
-        frames_ok: decoded.frames_ok,
-        frames_corrupt: decoded.frames_corrupt,
-        frames_resynced: decoded.frames_resynced,
-        bytes_skipped: decoded.bytes_skipped,
-        truncated: decoded.truncated,
-        reassembly,
-    };
-
-    let mut report =
-        conclude_with_telemetry(monitor, initial, messages, Relevance::AllWrites, registry)?;
+    let mut report = conclude(monitor, initial, messages, Relevance::AllWrites, registry)?;
     let analysis = report.verdict.analysis_mut();
-    analysis.exactness = analysis.exactness.combine(exactness);
+    analysis.exactness = analysis.exactness.combine(summary.exactness());
     Ok((report, summary))
 }
 
-/// Like [`check_frames`] but for the compact (varint) wire format of
-/// [`jmpax_instrument::codec::encode_compact_frame`] — 2–3× smaller on the
-/// wire, same analysis.
-pub fn check_compact_frames(
-    frames: &bytes::Bytes,
-    monitor: Monitor,
-    initial: ProgramState,
-) -> Result<PipelineReport, PipelineError> {
-    let messages = jmpax_instrument::decode_compact_frames(frames)?;
-    conclude(monitor, initial, messages, Relevance::AllWrites)
-}
-
 fn conclude(
-    monitor: Monitor,
-    initial: ProgramState,
-    messages: Vec<Message>,
-    relevance: Relevance,
-) -> Result<PipelineReport, PipelineError> {
-    conclude_with_telemetry(monitor, initial, messages, relevance, &Registry::disabled())
-}
-
-fn conclude_with_telemetry(
     monitor: Monitor,
     initial: ProgramState,
     messages: Vec<Message>,
@@ -775,11 +727,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn frames_pipeline_round_trip() {
-        use jmpax_core::Relevance;
-        use jmpax_instrument::{EventSink, FrameSink};
-
+    /// Example 2's messages and the checker for its property.
+    fn example2_messages() -> (Vec<Message>, Monitor, ProgramState) {
         let mut syms = SymbolTable::new();
         let ex = example2(&mut syms);
         let monitor = parse("(x > 0) -> [y = 0, y > z)", &mut syms)
@@ -791,80 +740,44 @@ mod tests {
             .map(|n| syms.lookup(n).unwrap())
             .collect();
         let messages = ex.instrument(Relevance::writes_of(vars));
+        (
+            messages,
+            monitor,
+            ProgramState::from_map(ex.initial.clone()),
+        )
+    }
+
+    /// Encodes `messages` and returns the stream with each frame's offset.
+    fn frames(messages: &[Message]) -> (bytes::BytesMut, Vec<usize>) {
+        let mut buf = bytes::BytesMut::new();
+        let mut offsets = Vec::new();
+        for m in messages {
+            offsets.push(buf.len());
+            jmpax_instrument::encode_frame_v2(m, &mut buf);
+        }
+        (buf, offsets)
+    }
+
+    #[test]
+    fn frame_sink_stream_is_exact_and_predicts() {
+        use jmpax_instrument::{EventSink, FrameSink};
+
+        let (messages, monitor, initial) = example2_messages();
         let sink = FrameSink::new();
         let mut w = sink.clone();
         for m in &messages {
             w.emit(m);
         }
-        let report = check_frames(
+        let (report, summary) = check_frames(
             &sink.take_bytes(),
             monitor,
-            ProgramState::from_map(ex.initial.clone()),
-        )
-        .unwrap();
-        assert!(report.predicted());
-        assert_eq!(report.verdict.analysis().violating_runs, 1);
-    }
-
-    #[test]
-    fn compact_frames_pipeline_matches_plain() {
-        use jmpax_core::Relevance;
-
-        let mut syms = SymbolTable::new();
-        let ex = example2(&mut syms);
-        let monitor = parse("(x > 0) -> [y = 0, y > z)", &mut syms)
-            .unwrap()
-            .monitor()
-            .unwrap();
-        let vars: Vec<_> = ["x", "y", "z"]
-            .iter()
-            .map(|n| syms.lookup(n).unwrap())
-            .collect();
-        let messages = ex.instrument(Relevance::writes_of(vars));
-
-        let mut compact = bytes::BytesMut::new();
-        for m in &messages {
-            jmpax_instrument::codec::encode_compact_frame(m, &mut compact);
-        }
-        let report = check_compact_frames(
-            &compact.freeze(),
-            monitor,
-            ProgramState::from_map(ex.initial.clone()),
-        )
-        .unwrap();
-        assert!(report.predicted());
-        assert_eq!(report.verdict.analysis().total_runs, 3);
-        assert_eq!(report.verdict.analysis().violating_runs, 1);
-    }
-
-    #[test]
-    fn resilient_on_clean_v2_stream_is_exact_and_matches_check_frames() {
-        use jmpax_core::Relevance;
-
-        let mut syms = SymbolTable::new();
-        let ex = example2(&mut syms);
-        let monitor = parse("(x > 0) -> [y = 0, y > z)", &mut syms)
-            .unwrap()
-            .monitor()
-            .unwrap();
-        let vars: Vec<_> = ["x", "y", "z"]
-            .iter()
-            .map(|n| syms.lookup(n).unwrap())
-            .collect();
-        let messages = ex.instrument(Relevance::writes_of(vars));
-        let mut buf = bytes::BytesMut::new();
-        for m in &messages {
-            jmpax_instrument::codec::encode_frame_v2(m, &mut buf);
-        }
-        let (report, summary) = check_frames_resilient(
-            &buf.freeze(),
-            monitor,
-            ProgramState::from_map(ex.initial.clone()),
+            initial,
             8,
             &Registry::disabled(),
         )
         .unwrap();
         assert!(summary.is_clean());
+        assert_eq!(summary.decode.frames_ok, messages.len() as u64);
         assert!(report.verdict.exactness().is_exact());
         assert!(report.predicted());
         assert_eq!(report.verdict.analysis().total_runs, 3);
@@ -874,40 +787,17 @@ mod tests {
 
     #[test]
     fn resilient_survives_a_corrupt_frame_and_reports_degraded() {
-        use jmpax_core::Relevance;
-
-        let mut syms = SymbolTable::new();
-        let ex = example2(&mut syms);
-        let monitor = parse("(x > 0) -> [y = 0, y > z)", &mut syms)
-            .unwrap()
-            .monitor()
-            .unwrap();
-        let vars: Vec<_> = ["x", "y", "z"]
-            .iter()
-            .map(|n| syms.lookup(n).unwrap())
-            .collect();
-        let messages = ex.instrument(Relevance::writes_of(vars));
-        let mut buf = bytes::BytesMut::new();
-        let mut offsets = Vec::new();
-        for m in &messages {
-            offsets.push(buf.len());
-            jmpax_instrument::codec::encode_frame_v2(m, &mut buf);
-        }
+        let (messages, monitor, initial) = example2_messages();
+        let (mut buf, offsets) = frames(&messages);
         // Flip a payload bit in the second frame: its CRC fails, the frame
         // is dropped, and the reassembler must skip the resulting gap.
         buf[offsets[1] + 12] ^= 0x01;
         let registry = Registry::enabled();
-        let (report, summary) = check_frames_resilient(
-            &buf.freeze(),
-            monitor,
-            ProgramState::from_map(ex.initial.clone()),
-            2,
-            &registry,
-        )
-        .unwrap();
+        let (report, summary) =
+            check_frames(&buf.freeze(), monitor, initial, 2, &registry).unwrap();
         assert!(!summary.is_clean());
-        assert_eq!(summary.frames_corrupt, 1);
-        assert_eq!(summary.frames_ok as usize, messages.len() - 1);
+        assert_eq!(summary.decode.frames_corrupt, 1);
+        assert_eq!(summary.decode.frames_ok as usize, messages.len() - 1);
         assert_eq!(summary.reassembly.skipped_gaps(), 1);
         assert!(!report.verdict.exactness().is_exact());
         assert_eq!(report.messages.len(), messages.len() - 1);
@@ -923,13 +813,90 @@ mod tests {
     }
 
     #[test]
-    fn bad_frames_are_rejected() {
+    fn tail_losses_degrade_the_verdict() {
+        // The last frame is thread 2's last message: losing it leaves no
+        // later message to reveal a gap, so only the transport-loss rule
+        // stands between the damage and an Exact verdict.
+        let (messages, monitor, initial) = example2_messages();
+        let (clean, offsets) = frames(&messages);
+        let last = offsets[offsets.len() - 1];
+        let corrupt_payload = {
+            let mut b = clean.to_vec();
+            b[last + 12] ^= 0x01;
+            b
+        };
+        let damaged_header = {
+            let mut b = clean.to_vec();
+            b[last] ^= 0x01;
+            b
+        };
+        let cut_mid_frame = clean[..clean.len() - 3].to_vec();
+        for (name, stream) in [
+            ("corrupt last frame", corrupt_payload),
+            ("last header damaged", damaged_header),
+            ("cut mid-frame", cut_mid_frame),
+        ] {
+            let (report, summary) = check_frames(
+                &bytes::Bytes::from(stream),
+                monitor.clone(),
+                initial.clone(),
+                8,
+                &Registry::disabled(),
+            )
+            .unwrap();
+            assert_eq!(summary.reassembly.skipped_gaps(), 0, "{name}");
+            assert_eq!(summary.exactness(), Exactness::degraded(0, 1), "{name}");
+            assert_eq!(
+                report.verdict.exactness(),
+                Exactness::degraded(0, 1),
+                "{name}"
+            );
+            assert_eq!(report.messages.len(), messages.len() - 1, "{name}");
+        }
+    }
+
+    #[test]
+    fn an_unplaceable_frame_degrades_the_verdict() {
+        use jmpax_core::{Event, VectorClock};
+
+        let mut syms = SymbolTable::new();
+        let x = syms.intern("x");
+        let monitor = parse("x >= 0", &mut syms).unwrap().monitor().unwrap();
+        let mut initial = ProgramState::new();
+        initial.set(x, 0);
+        // A CRC-valid frame carrying thread 1's write x = -1 with clock
+        // [1]: thread 1's own component is 0, so the message has no place
+        // in its sequence and must not vanish under an Exact verdict.
+        let mut buf = bytes::BytesMut::new();
+        jmpax_instrument::encode_frame_v2(
+            &Message {
+                event: Event::write(T2, x, -1i64),
+                clock: VectorClock::from_components(vec![1]),
+            },
+            &mut buf,
+        );
+        let (report, summary) =
+            check_frames(&buf.freeze(), monitor, initial, 8, &Registry::disabled()).unwrap();
+        assert_eq!(summary.decode.frames_corrupt, 1);
+        assert!(!summary.is_clean());
+        assert!(!report.verdict.exactness().is_exact());
+    }
+
+    #[test]
+    fn garbage_is_degraded_not_an_error() {
         let mut syms = SymbolTable::new();
         let monitor = parse("true", &mut syms).unwrap().monitor().unwrap();
         let bytes = bytes::Bytes::from_static(&[1, 2, 3]);
-        assert!(matches!(
-            check_frames(&bytes, monitor, ProgramState::new()),
-            Err(PipelineError::Codec(_))
-        ));
+        let (report, summary) = check_frames(
+            &bytes,
+            monitor,
+            ProgramState::new(),
+            8,
+            &Registry::disabled(),
+        )
+        .unwrap();
+        assert_eq!(summary.decode.bytes_skipped, 3);
+        assert!(report.messages.is_empty());
+        assert!(!report.verdict.exactness().is_exact());
     }
 }

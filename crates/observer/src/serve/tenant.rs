@@ -32,7 +32,7 @@ use super::flight::FlightRecorder;
 use super::ops::{LogLevel, LogValue};
 use super::status::TenantTable;
 use super::{AnalysisOutcome, ServeConfig, ShedPolicy, TenantOutcome, ExactnessVerdict};
-use crate::pipeline::{Pipeline, PipelineConfig};
+use crate::pipeline::{Pipeline, PipelineConfig, ResilienceSummary};
 
 /// `serve.verdict_state{tenant=…}` gauge values.
 const STATE_RUNNING: u64 = 0;
@@ -513,33 +513,28 @@ fn run_worker(
             WorkItem::Eof => break,
         }
     }
-    let decoded = decoder.finish();
-    tel.counter("serve.frames_corrupt").add(decoded.frames_corrupt);
-    tel.counter("serve.frames_resynced").add(decoded.frames_resynced);
+    let decode = decoder.finish();
+    tel.counter("serve.frames_corrupt")
+        .add(decode.frames_corrupt);
+    tel.counter("serve.frames_resynced")
+        .add(decode.frames_resynced);
     let (messages, reassembly) = reassembler.finish();
     reassembly.record(tel);
     for gap in &reassembly.gaps {
         flight.gap(u64::from(gap.thread.0), gap.from, gap.to);
     }
     gaps_labeled.add(reassembly.skipped_gaps());
+    let summary = ResilienceSummary { decode, reassembly };
 
     let pipeline = Pipeline::new(PipelineConfig::new().telemetry(tel).analysis(analysis));
     let message_count = messages.len() as u64;
 
-    // Same accounting as `check_frames_resilient`: transport losses the
-    // reassembler could not observe still forbid an Exact verdict. The
-    // suite folds this into every analysis's report.
-    let transport_lost =
-        decoded.frames_corrupt + decoded.frames_resynced + u64::from(decoded.truncated);
-    let unaccounted = transport_lost.saturating_sub(reassembly.messages_lost());
-    let transport = reassembly
-        .exactness()
-        .combine(Exactness::degraded(0, unaccounted));
+    // The suite folds the transport losses into every analysis's report.
     let suite = pipeline.check_stream_suite(
         kinds,
         monitor.map(|m| (m, initial)),
         threads,
-        transport,
+        summary.exactness(),
         messages,
     );
     // Plain single-LTL sessions keep their historical one-verdict shape;
@@ -562,9 +557,9 @@ fn run_worker(
         exactness: suite.exactness(),
         satisfied: suite.satisfied(),
         violations: suite.findings() as usize,
-        frames_ok: decoded.frames_ok,
+        frames_ok: summary.decode.frames_ok,
         messages: message_count,
-        gaps_skipped: reassembly.skipped_gaps(),
+        gaps_skipped: summary.reassembly.skipped_gaps(),
         analyses,
     }
 }

@@ -318,6 +318,53 @@ fn hostile_handshakes_are_rejected_not_fatal() {
     assert!(registry.snapshot().counter("serve.handshake_errors").unwrap_or(0) >= 2);
 }
 
+/// Tail losses reach the daemon's verdict through the same loss rule as
+/// `check_frames`: a corrupt last frame, a damaged last header and a
+/// stream cut mid-frame each leave reassembly no gap to see, yet each
+/// must degrade the verdict.
+#[test]
+fn tail_losses_degrade_the_daemon_verdict() {
+    let mut config = ServeConfig::new(SPEC);
+    config.read_timeout = Duration::from_millis(10);
+    let server = Server::bind(0, config).expect("bind");
+    let addr = server.local_addr().unwrap();
+    let handle = server.spawn();
+
+    let mut symbols = SymbolTable::new();
+    let ex = workload(&mut symbols);
+    let vars: Vec<_> = ["x", "y", "z"]
+        .iter()
+        .map(|n| symbols.lookup(n).unwrap())
+        .collect();
+    let mut clean = bytes::BytesMut::new();
+    let mut last = 0;
+    for m in &ex.instrument(Relevance::writes_of(vars)) {
+        last = clean.len();
+        jmpax_instrument::encode_frame_v2(m, &mut clean);
+    }
+    let flipped = |at: usize| {
+        let mut b = clean.to_vec();
+        b[at] ^= 0x01;
+        b
+    };
+    for (tenant, stream) in [
+        ("corrupt-last-frame", flipped(last + 12)),
+        ("last-header-damaged", flipped(last)),
+        ("cut-mid-frame", clean[..clean.len() - 3].to_vec()),
+    ] {
+        let verdict = send_raw_session(addr, &hello_for(tenant), &stream).expect("verdict");
+        assert!(
+            verdict.contains("\"verdict\":\"Degraded\""),
+            "{tenant}: {verdict}"
+        );
+    }
+    let verdict = send_raw_session(addr, &hello_for("clean"), &clean).expect("verdict");
+    assert!(verdict.contains("\"verdict\":\"Exact\""), "{verdict}");
+
+    let summary = handle.stop();
+    assert_eq!((summary.degraded(), summary.exact()), (3, 1));
+}
+
 #[test]
 fn drop_newest_sheds_and_degrades_instead_of_blocking() {
     // Queue depth 1 + DropNewest + a worker that cannot keep up with a

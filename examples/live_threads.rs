@@ -11,10 +11,10 @@
 //! cargo run --example live_threads
 //! ```
 
-use jmpax::instrument::{EventSink, FrameSink, Session};
+use jmpax::instrument::{EventSink, FrameSink, ResilientFrameDecoder, Session};
 use jmpax::observer::check_frames;
 use jmpax::spec::ProgramState;
-use jmpax::{parse, Relevance, SymbolTable, VarId};
+use jmpax::{parse, Registry, Relevance, SymbolTable, VarId};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
@@ -68,8 +68,7 @@ fn main() {
 
     // Simulate multi-channel delivery: shuffle the frames' decode order by
     // re-encoding in shuffled order.
-    let bytes = sink.take_bytes();
-    let mut msgs = jmpax::instrument::decode_frames(&bytes).unwrap();
+    let mut msgs = ResilientFrameDecoder::new().push(&sink.take_bytes());
     let mut rng = rand::rngs::StdRng::seed_from_u64(1);
     msgs.shuffle(&mut rng);
     let shuffled_sink = FrameSink::new();
@@ -87,7 +86,16 @@ fn main() {
         .unwrap()
         .monitor()
         .unwrap();
-    let report = check_frames(&shuffled_sink.take_bytes(), monitor, ProgramState::new()).unwrap();
+    // A stall budget of the whole stream: no gap is given up while a
+    // shuffled frame may still fill it.
+    let (report, summary) = check_frames(
+        &shuffled_sink.take_bytes(),
+        monitor,
+        ProgramState::new(),
+        msgs.len() as u64,
+        &Registry::disabled(),
+    )
+    .unwrap();
 
     println!(
         "messages delivered out of order: {} relevant writes",
@@ -106,5 +114,6 @@ fn main() {
             "satisfied"
         }
     );
+    assert!(summary.is_clean(), "a shuffled stream loses nothing");
     assert!(report.predicted());
 }

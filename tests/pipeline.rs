@@ -3,9 +3,24 @@
 //! ("socket") → observer → computation lattice → verdict.
 
 use jmpax::instrument::{FrameSink, Session};
-use jmpax::observer::check_frames;
+use jmpax::observer::{check_frames, PipelineReport};
 use jmpax::spec::ProgramState;
-use jmpax::{parse, Relevance, SymbolTable};
+use jmpax::{parse, Monitor, Registry, Relevance, SymbolTable};
+
+/// The observer side: analyzes everything the sink framed, which must
+/// arrive without loss.
+fn observe(sink: &FrameSink, monitor: Monitor, initial: ProgramState) -> PipelineReport {
+    let (report, summary) = check_frames(
+        &sink.take_bytes(),
+        monitor,
+        initial,
+        64,
+        &Registry::disabled(),
+    )
+    .unwrap();
+    assert!(summary.is_clean(), "{summary:?}");
+    report
+}
 
 /// Example 2 of the paper run on real `std::thread`s. The paper's observed
 /// interleaving is forced by an *uninstrumented* atomic rendezvous — it
@@ -70,7 +85,7 @@ fn real_threads_example2_predicts_violation_over_the_wire() {
         .unwrap();
     let mut initial = ProgramState::new();
     initial.set(jmpax::VarId(0), -1);
-    let report = check_frames(&sink.take_bytes(), monitor, initial).unwrap();
+    let report = observe(&sink, monitor, initial);
 
     assert_eq!(report.messages.len(), 4, "x=0, z=1, y=1, x=1");
     assert!(!report.observed(), "the forced interleaving is successful");
@@ -113,7 +128,7 @@ fn real_threads_raced_prediction_dominates_observation() {
             .unwrap()
             .monitor()
             .unwrap();
-        let report = check_frames(&sink.take_bytes(), monitor, ProgramState::new()).unwrap();
+        let report = observe(&sink, monitor, ProgramState::new());
 
         // The two writes are causally unrelated: the lattice always
         // contains the bad order, so prediction fires on every round,
@@ -164,7 +179,7 @@ fn real_threads_locked_publication_is_clean() {
         .unwrap()
         .monitor()
         .unwrap();
-    let report = check_frames(&sink.take_bytes(), monitor, ProgramState::new()).unwrap();
+    let report = observe(&sink, monitor, ProgramState::new());
     assert!(
         !report.predicted(),
         "lock events order the critical sections; no violating run remains"
