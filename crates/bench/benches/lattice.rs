@@ -5,7 +5,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use jmpax_bench::{banded_computation, BandedConfig};
 use jmpax_lattice::analysis::analyze_lattice;
-use jmpax_lattice::AnalysisConfig;
 use jmpax_lattice::{Lattice, LatticeInput, StreamingAnalyzer};
 use jmpax_spec::parse;
 
@@ -59,7 +58,7 @@ fn bench_banded_full_vs_streaming(c: &mut Criterion) {
                 b.iter(|| {
                     let input = LatticeInput::from_messages(msgs.clone(), initial.clone()).unwrap();
                     let lattice = Lattice::build(input);
-                    analyze_lattice(&lattice, &monitor, AnalysisConfig::default()).violating_runs
+                    analyze_lattice(&lattice, &monitor).violating_runs
                 });
             },
         );

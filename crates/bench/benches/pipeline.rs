@@ -14,9 +14,8 @@ fn bench_fig5(c: &mut Criterion) {
             let mut syms = w.symbols.clone();
             let report = Pipeline::new(PipelineConfig::new())
                 .check_execution(&out.execution, &w.spec, &mut syms)
-                .unwrap()
-                .report;
-            report.verdict.analysis().violating_runs
+                .unwrap();
+            report.analysis.violating_runs
         });
     });
 }
@@ -29,9 +28,8 @@ fn bench_fig6(c: &mut Criterion) {
             let mut syms = w.symbols.clone();
             let report = Pipeline::new(PipelineConfig::new())
                 .check_execution(&out.execution, &w.spec, &mut syms)
-                .unwrap()
-                .report;
-            report.verdict.analysis().violating_runs
+                .unwrap();
+            report.analysis.violating_runs
         });
     });
 }
@@ -60,9 +58,8 @@ fn bench_detection_iteration(c: &mut Criterion) {
             let mut syms = w.symbols.clone();
             let report = Pipeline::new(PipelineConfig::new())
                 .check_execution(&out.execution, &w.spec, &mut syms)
-                .unwrap()
-                .report;
-            u128::from(report.predicted()) + report.verdict.analysis().violating_runs
+                .unwrap();
+            u128::from(report.predicted()) + report.analysis.violating_runs
         });
     });
 }

@@ -91,27 +91,42 @@ pub fn symmetric_instrument(events: &[Event], relevance: Relevance) -> Vec<Messa
     events.iter().filter_map(|e| instr.process(e)).collect()
 }
 
-/// Builds both lattices for one execution and compares run/state counts.
+/// Analyzes both variants of one execution and compares run/state counts.
 #[must_use]
 pub fn compare_symmetric(
     events: &[Event],
     relevance: &Relevance,
     initial: &jmpax_spec::ProgramState,
 ) -> SymmetricStats {
-    use jmpax_lattice::{Lattice, LatticeInput};
-
     let mut asym = jmpax_core::MvcInstrumentor::with_relevance(relevance.clone());
     let asym_msgs: Vec<Message> = events.iter().filter_map(|e| asym.process(e)).collect();
     let sym_msgs = symmetric_instrument(events, relevance.clone());
 
-    let a = Lattice::build(LatticeInput::from_messages(asym_msgs, initial.clone()).unwrap());
-    let s = Lattice::build(LatticeInput::from_messages(sym_msgs, initial.clone()).unwrap());
+    let (asymmetric_runs, asymmetric_states) = runs_and_states(asym_msgs, initial);
+    let (symmetric_runs, symmetric_states) = runs_and_states(sym_msgs, initial);
     SymmetricStats {
-        asymmetric_runs: a.count_runs(),
-        symmetric_runs: s.count_runs(),
-        asymmetric_states: a.node_count(),
-        symmetric_states: s.node_count(),
+        asymmetric_runs,
+        symmetric_runs,
+        asymmetric_states,
+        symmetric_states,
     }
+}
+
+/// The run and state counts of the lattice of `messages`.
+fn runs_and_states(messages: Vec<Message>, initial: &jmpax_spec::ProgramState) -> (u128, usize) {
+    let threads = messages
+        .iter()
+        .map(|m| m.thread().index() + 1)
+        .max()
+        .unwrap_or(1);
+    let always = jmpax_spec::parse("true", &mut jmpax_core::SymbolTable::new())
+        .expect("`true` parses")
+        .monitor()
+        .expect("`true` needs no temporal state");
+    let mut analyzer = jmpax_lattice::StreamingAnalyzer::new(always, initial, threads);
+    analyzer.push_all(messages);
+    let report = analyzer.finish();
+    (report.total_runs, report.states_explored as usize)
 }
 
 #[cfg(test)]

@@ -16,9 +16,7 @@ use jmpax_bench::{
 };
 use jmpax_core::gen::{random_execution, RandomExecutionConfig};
 use jmpax_core::{Relevance, VarId};
-use jmpax_lattice::{
-    analysis::analyze_lattice, AnalysisConfig, Lattice, LatticeInput, StreamingAnalyzer,
-};
+use jmpax_lattice::{analysis::analyze_lattice, Lattice, LatticeInput, StreamingAnalyzer};
 use jmpax_observer::liveness::{find_lassos, predict_liveness_violations, Ltl};
 use jmpax_spec::ast::{Atom, CmpOp, Expr};
 use jmpax_workloads::{bank, landing, peterson, xyz};
@@ -147,9 +145,10 @@ fn reduction() {
 
 /// Q6: predictive data-race detection vs naive trace-overlap detection.
 fn races() {
-    use jmpax_observer::detect_races;
+    use jmpax_core::AnalysisKind;
+    use jmpax_lattice::Exactness;
+    use jmpax_observer::Pipeline;
     use jmpax_sched::run_random;
-    use std::collections::BTreeSet;
 
     header("Q6 — predictive data races (vector clocks) vs trace overlap");
     // A realistic racy pair: each thread does local work (on a private
@@ -182,9 +181,17 @@ fn races() {
     let seeds = 200u64;
     let mut predicted = 0usize;
     let mut adjacent = 0usize;
+    let pipeline = Pipeline::default();
     for seed in 0..seeds {
         let out = run_random(&program, seed, 100);
-        if !detect_races(&out.execution, &BTreeSet::new()).is_empty() {
+        let suite = pipeline.check_stream_suite(
+            &[AnalysisKind::Race],
+            None,
+            out.execution.thread_count(),
+            Exactness::Exact,
+            out.execution.instrument(Relevance::Everything),
+        );
+        if !suite.satisfied() {
             predicted += 1;
         }
         // Naive detector: conflicting accesses by different threads that
@@ -284,8 +291,7 @@ fn exhaustive() {
         let mut syms = w.symbols.clone();
         let report = Pipeline::new(PipelineConfig::new())
             .check_execution(&out.execution, &w.spec, &mut syms)
-            .unwrap()
-            .report;
+            .unwrap();
         println!(
             "{name:<12} {:>12} {:>14} {:>16} {:>18}",
             truth.total,
@@ -403,9 +409,8 @@ fn fig4() {
         ProgramState::from_map(out.execution.initial.clone()),
         msgs.len() as u64,
         &jmpax_telemetry::Registry::disabled(),
-    )
-    .unwrap();
-    let a = report.verdict.analysis();
+    );
+    let a = &report.analysis;
     println!(
         "verdict: {} (states {}, runs {}, violating {})",
         if report.predicted() {
@@ -413,7 +418,7 @@ fn fig4() {
         } else {
             "satisfied"
         },
-        a.states,
+        a.states_explored,
         a.total_runs,
         a.violating_runs
     );
@@ -510,7 +515,7 @@ fn lattice_scaling() {
         let t0 = Instant::now();
         let lattice =
             Lattice::build(LatticeInput::from_messages(msgs.clone(), initial.clone()).unwrap());
-        let analysis = analyze_lattice(&lattice, &monitor, AnalysisConfig::default());
+        let analysis = analyze_lattice(&lattice, &monitor);
         let full_ms = t0.elapsed().as_secs_f64() * 1e3;
 
         let t0 = Instant::now();

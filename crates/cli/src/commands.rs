@@ -4,7 +4,7 @@ use std::fmt::Write as _;
 
 use jmpax_core::{Relevance, SymbolTable};
 use jmpax_instrument::EventSink as _;
-use jmpax_lattice::{to_dot, DotOptions, Lattice, LatticeInput, StreamingAnalyzer};
+use jmpax_lattice::{to_dot, AnalysisConfig, DotOptions, Lattice, LatticeInput};
 use jmpax_observer::{render_analysis, Pipeline, PipelineConfig};
 use jmpax_spec::{parse, ProgramState};
 use jmpax_telemetry::Registry;
@@ -23,31 +23,28 @@ Multithreaded Programs', IPDPS/PADTAD 2004)
 USAGE:
     jmpax check --spec <FORMULA> --trace <FILE>
                 [--analysis <ltl,race,atomicity>] [--locks <name,...>]
-                [--dot <OUT>] [--streaming] [--history <N>]
+                [--dot <OUT>] [--history <N>]
                 [--frontier-cap <N>] [--parallel <N>]
                 [--telemetry <text|json>] [--json]
         Check a safety property against EVERY interleaving consistent with
         the recorded trace. The trace is the text format of
-        `jmpax gen` (one event per line, `init v = k` headers).
-        --analysis selects the checkers (default ltl): any comma list of
-        ltl, race, atomicity runs in ONE causal pass over the stream with
-        a per-analysis verdict section (exit 1 if any analysis fails;
-        --json emits the machine-readable report). race and atomicity
-        build their happens-before from program order plus the --locks
-        variables only; --spec is needed only when ltl is selected.
-        --streaming uses the constant-memory two-level analyzer;
-        --history N additionally retains N retired lattice levels so
-        violations carry a trail of recent states; --frontier-cap N
-        bounds the streaming frontier to its N smallest cuts (beam
-        search) — pruned cuts are counted and the verdict is reported
-        as Degraded instead of exhausting memory; --parallel N shards
-        frontier expansion across N workers (bit-identical verdicts;
-        wide levels only — narrow levels stay sequential).
-
-    jmpax races --trace <FILE> [--locks <name,name,...>]
-        Predictive data-race detection over the trace: accesses are checked
-        against the happens-before built from program order and the given
-        lock variables only.
+        `jmpax gen` (one event per line, `init v = k` headers). The
+        lattice is built level by level; every level is retained so each
+        violation comes with a full counterexample run, unless
+        --history N keeps only N retired levels (--history 0 is the
+        constant-memory two-level mode; violations then carry a trail of
+        their last states). --analysis selects the checkers (default
+        ltl): any comma list of ltl, race, atomicity runs in ONE causal
+        pass over the stream with a per-analysis verdict section (exit 1
+        if any analysis fails; --json emits the machine-readable report).
+        race and atomicity build their happens-before from program order
+        plus the --locks variables only (predictive data-race detection:
+        `--analysis race`); --spec is needed only when ltl is selected.
+        --frontier-cap N bounds the frontier to its N smallest cuts
+        (beam search) — pruned cuts are counted and the verdict is
+        reported as Degraded instead of exhausting memory; --parallel N
+        shards frontier expansion across N workers (bit-identical
+        verdicts; wide levels only — narrow levels stay sequential).
 
     jmpax deadlocks --trace <FILE> --locks <name,name,...>
         Predictive deadlock detection: build the lock-order graph from the
@@ -307,7 +304,6 @@ fn run_inner(
 ) -> (i32, String, Option<ServeMetrics>) {
     let (code, output) = match args.command() {
         Some("check") => check(args, trace_source, registry),
-        Some("races") => races(args, trace_source),
         Some("deadlocks") => deadlocks(args, trace_source),
         Some("demo") => demo(args, registry),
         Some("chaos") => chaos(args, registry),
@@ -357,43 +353,6 @@ fn lock_vars(
     Ok(out)
 }
 
-fn races(args: &Args, trace_source: Option<&str>) -> (i32, String) {
-    let Some(trace) = trace_source else {
-        return (2, "races: missing --trace <FILE>\n".to_owned());
-    };
-    let mut symbols = SymbolTable::new();
-    let execution = match trace_text::parse_trace(trace, &mut symbols) {
-        Ok(e) => e,
-        Err(e) => return (2, format!("races: {e}\n")),
-    };
-    let sync = match lock_vars(args, &symbols) {
-        Ok(s) => s,
-        Err(e) => return (2, format!("races: {e}\n")),
-    };
-    let found = jmpax_observer::detect_races(&execution, &sync);
-    let mut out = String::new();
-    if found.is_empty() {
-        let _ = writeln!(out, "no data races predicted");
-        return (0, out);
-    }
-    for r in &found {
-        // Thread names match the trace format (T0-based), not the paper's
-        // 1-based display.
-        let _ = writeln!(
-            out,
-            "race on {}: T{} {} vs T{} {} (events #{} / #{})",
-            symbols.name_or_default(r.var),
-            r.first.thread.0,
-            if r.first.is_write { "write" } else { "read" },
-            r.second.thread.0,
-            if r.second.is_write { "write" } else { "read" },
-            r.first.index,
-            r.second.index,
-        );
-    }
-    (1, out)
-}
-
 fn deadlocks(args: &Args, trace_source: Option<&str>) -> (i32, String) {
     let Some(trace) = trace_source else {
         return (2, "deadlocks: missing --trace <FILE>\n".to_owned());
@@ -431,8 +390,9 @@ fn deadlocks(args: &Args, trace_source: Option<&str>) -> (i32, String) {
 }
 
 fn check(args: &Args, trace_source: Option<&str>, registry: &Registry) -> (i32, String) {
-    // `--analysis ltl,race,atomicity` selects the suite; a bare `ltl` (or
-    // no flag) keeps the original single-analysis paths byte-identical.
+    // `--analysis ltl,race,atomicity` selects per-analysis sections; a
+    // bare `ltl` (or no flag) prints the property report with run counts
+    // and counterexample runs.
     let kinds = match args.get("analysis") {
         Some(list) => match jmpax_core::AnalysisKind::parse_list(list) {
             Ok(kinds) => kinds,
@@ -463,80 +423,18 @@ fn check(args: &Args, trace_source: Option<&str>, registry: &Registry) -> (i32, 
         Err(e) => return (2, format!("check: {e}\n")),
     };
 
-    let parallel = args
-        .get("parallel")
-        .and_then(|n| n.parse::<usize>().ok())
-        .unwrap_or(1);
-
-    if args.has("streaming") {
-        // Two-level streaming mode: constant memory, no counterexamples.
-        let formula = match parse(spec, &mut symbols) {
-            Ok(f) => f,
-            Err(e) => return (2, format!("check: {e}\n")),
-        };
-        let monitor = match formula.monitor() {
-            Ok(m) => m.with_telemetry(registry),
-            Err(e) => return (2, format!("check: {e}\n")),
-        };
-        let relevance = Relevance::WritesOf(formula.variables().into_iter().collect());
-        let messages = execution.instrument_with_telemetry(relevance, registry);
-        account_frames(&messages, registry);
-        let initial = ProgramState::from_map(execution.initial.clone());
-        let history = args
-            .get("history")
-            .and_then(|h| h.parse::<usize>().ok())
-            .unwrap_or(0);
-        let frontier_cap = args
-            .get("frontier-cap")
-            .and_then(|h| h.parse::<usize>().ok())
-            .unwrap_or(0);
-        let mut s = StreamingAnalyzer::with_telemetry(
-            monitor,
-            &initial,
-            execution.thread_count(),
-            registry,
-        )
-        .with_history(history)
-        .with_frontier_cap(frontier_cap)
-        .with_parallelism(parallel);
-        s.push_all(messages);
-        let report = s.finish();
-        let _ = writeln!(
-            out,
-            "streaming analysis: {} states in {} levels (peak frontier {})",
-            report.states_explored, report.levels_built, report.peak_frontier
-        );
-        if !report.exactness.is_exact() {
-            let _ = writeln!(out, "confidence: {}", report.exactness);
-        }
-        if report.satisfied() {
-            let _ = writeln!(out, "property satisfied on every run");
-            return (0, out);
-        }
-        for v in &report.violations {
-            let _ = writeln!(out, "violation at cut {} in state {}", v.cut, v.state);
-            if v.trail.len() > 1 {
-                let _ = writeln!(out, "  trail (last {} states):", v.trail.len());
-                for (cut, state) in &v.trail {
-                    let _ = writeln!(out, "    {cut} {state}");
-                }
-            }
-        }
-        return (1, out);
-    }
-
-    let report = match Pipeline::new(
-        PipelineConfig::new()
-            .telemetry(registry)
-            .parallelism(parallel),
-    )
-    .check_execution(&execution, spec, &mut symbols)
+    let config = match analysis_config(args) {
+        Ok(c) => c,
+        Err(e) => return (2, e),
+    };
+    let report = match Pipeline::new(PipelineConfig::new().telemetry(registry).analysis(config))
+        .check_execution(&execution, spec, &mut symbols)
     {
-        Ok(outcome) => outcome.report,
+        Ok(report) => report,
         Err(e) => return (2, format!("check: {e}\n")),
     };
     account_frames(&report.messages, registry);
-    let analysis = report.verdict.analysis();
+    let analysis = &report.analysis;
     out.push_str(&render_analysis(analysis, &symbols));
     if let Some(idx) = report.observed_violation {
         let _ = writeln!(out, "the OBSERVED run violates at state #{idx}");
@@ -548,10 +446,8 @@ fn check(args: &Args, trace_source: Option<&str>, registry: &Registry) -> (i32, 
     }
 
     if let Some(path) = args.get("dot") {
-        let relevance = report.relevance.clone();
-        let messages = execution.instrument(relevance);
         let initial = ProgramState::from_map(execution.initial.clone());
-        if let Ok(input) = LatticeInput::from_messages(messages, initial) {
+        if let Ok(input) = LatticeInput::from_messages(report.messages.clone(), initial) {
             let lattice = Lattice::build(input);
             let highlights = analysis.violations.iter().map(|v| v.cut.clone()).collect();
             let dot = to_dot(&lattice, &symbols, &DotOptions::with_highlights(highlights));
@@ -608,14 +504,10 @@ fn check_suite(
         None
     };
 
-    let parallel = args
-        .get("parallel")
-        .and_then(|n| n.parse::<usize>().ok())
-        .unwrap_or(1);
-    let frontier_cap = args
-        .get("frontier-cap")
-        .and_then(|h| h.parse::<usize>().ok())
-        .unwrap_or(0);
+    let config = match analysis_config(args) {
+        Ok(c) => c,
+        Err(e) => return (2, e),
+    };
 
     // Race and atomicity need every access, not just property writes.
     let messages = execution.instrument_with_telemetry(Relevance::Everything, registry);
@@ -625,8 +517,7 @@ fn check_suite(
     let pipeline = Pipeline::new(
         PipelineConfig::new()
             .telemetry(registry)
-            .parallelism(parallel)
-            .frontier_cap(frontier_cap)
+            .analysis(config)
             .analyses(kinds)
             .sync_vars(sync.iter().copied()),
     );
@@ -700,10 +591,10 @@ fn demo(args: &Args, registry: &Registry) -> (i32, String) {
         &w.spec,
         &mut symbols,
     ) {
-        Ok(outcome) => {
-            account_frames(&outcome.report.messages, registry);
-            out.push_str(&render_analysis(outcome.report.verdict.analysis(), &symbols));
-            (i32::from(outcome.report.predicted()), out)
+        Ok(report) => {
+            account_frames(&report.messages, registry);
+            out.push_str(&render_analysis(&report.analysis, &symbols));
+            (i32::from(report.predicted()), out)
         }
         Err(e) => (2, format!("demo: {e}\n")),
     }
@@ -723,20 +614,24 @@ fn fault_rate(args: &Args, key: &str) -> Result<f64, String> {
 /// Builds a [`jmpax_instrument::ChaosConfig`] from the shared
 /// `--seed/--drop/--dup/--corrupt/--reorder-window` options (used by both
 /// `chaos` and `load`).
-fn chaos_config(args: &Args) -> Result<jmpax_instrument::ChaosConfig, String> {
+fn chaos_config(args: &Args, cmd: &str) -> Result<jmpax_instrument::ChaosConfig, String> {
     Ok(jmpax_instrument::ChaosConfig {
-        seed: args
-            .get("seed")
-            .and_then(|s| s.parse::<u64>().ok())
-            .unwrap_or(0),
-        drop_rate: fault_rate(args, "drop")?,
-        dup_rate: fault_rate(args, "dup")?,
-        corrupt_rate: fault_rate(args, "corrupt")?,
-        reorder_window: args
-            .get("reorder-window")
-            .and_then(|s| s.parse::<usize>().ok())
-            .unwrap_or(0),
+        seed: parsed(args, cmd, "seed", "a seed")?.unwrap_or(0),
+        drop_rate: fault_rate(args, "drop").map_err(|e| format!("{cmd}: {e}\n"))?,
+        dup_rate: fault_rate(args, "dup").map_err(|e| format!("{cmd}: {e}\n"))?,
+        corrupt_rate: fault_rate(args, "corrupt").map_err(|e| format!("{cmd}: {e}\n"))?,
+        reorder_window: parsed(args, cmd, "reorder-window", "a frame count")?.unwrap_or(0),
     })
+}
+
+/// The analysis knobs `jmpax check` takes: `--parallel`, `--frontier-cap`
+/// and `--history` (unset: the entry point's default).
+fn analysis_config(args: &Args) -> Result<AnalysisConfig, String> {
+    let mut config = AnalysisConfig::default()
+        .with_parallelism(parsed(args, "check", "parallel", "a worker count")?.unwrap_or(1))
+        .with_frontier_cap(parsed(args, "check", "frontier-cap", "a state count")?.unwrap_or(0));
+    config.history = parsed(args, "check", "history", "a level count")?;
+    Ok(config)
 }
 
 /// Parses an optional typed option, reporting the command and the expected
@@ -768,15 +663,15 @@ fn chaos(args: &Args, registry: &Registry) -> (i32, String) {
     let Some(w) = workload_by_name(name) else {
         return (2, format!("chaos: unknown workload `{name}`\n"));
     };
-    let config = match chaos_config(args) {
+    let config = match chaos_config(args, "chaos") {
         Ok(c) => c,
-        Err(e) => return (2, format!("chaos: {e}\n")),
+        Err(e) => return (2, e),
     };
     let seed = config.seed;
-    let stall_budget = args
-        .get("stall-budget")
-        .and_then(|s| s.parse::<u64>().ok())
-        .unwrap_or(jmpax_lattice::reassemble::DEFAULT_STALL_BUDGET);
+    let stall_budget = match parsed(args, "chaos", "stall-budget", "a message count") {
+        Ok(n) => n.unwrap_or(jmpax_lattice::reassemble::DEFAULT_STALL_BUDGET),
+        Err(e) => return (2, e),
+    };
 
     let mut out = String::new();
     let _ = writeln!(out, "workload: {}", w.name);
@@ -809,16 +704,13 @@ fn chaos(args: &Args, registry: &Registry) -> (i32, String) {
 
     let initial = ProgramState::from_map(run.execution.initial.clone());
     let (report, summary) =
-        match jmpax_observer::check_frames(&bytes, monitor, initial, stall_budget, registry) {
-            Ok(r) => r,
-            Err(e) => return (2, format!("chaos: {e}\n")),
-        };
+        jmpax_observer::check_frames(&bytes, monitor, initial, stall_budget, registry);
     out.push_str(&crate::report::chaos_summary(
         &stats,
         &summary,
-        report.verdict.exactness(),
+        report.exactness(),
     ));
-    out.push_str(&render_analysis(report.verdict.analysis(), &symbols));
+    out.push_str(&render_analysis(&report.analysis, &symbols));
     if let Some(idx) = report.observed_violation {
         let _ = writeln!(out, "the OBSERVED run violates at state #{idx}");
     } else if report.predicted() {
@@ -1006,9 +898,9 @@ fn load(args: &Args) -> (i32, String) {
         Ok(n) => n.unwrap_or(0),
         Err(e) => return (2, e),
     };
-    let root = match chaos_config(args) {
+    let root = match chaos_config(args, "load") {
         Ok(c) => c,
-        Err(e) => return (2, format!("load: {e}\n")),
+        Err(e) => return (2, e),
     };
     let prefix = args.get("tenant").filter(|s| !s.is_empty()).unwrap_or(name);
     // `--analysis` rides in the handshake; empty means the daemon default.
@@ -1263,10 +1155,10 @@ fn trace_cmd(args: &Args, registry: &Registry) -> (i32, String, Option<ServeMetr
             }
         },
     };
-    let seed = args
-        .get("seed")
-        .and_then(|s| s.parse::<u64>().ok())
-        .unwrap_or(0);
+    let seed = match parsed(args, "trace", "seed", "a seed") {
+        Ok(s) => s.unwrap_or(0),
+        Err(e) => return (2, e, None),
+    };
 
     let mut out = String::new();
     let _ = writeln!(out, "workload: {}", w.name);
@@ -1288,7 +1180,7 @@ fn trace_cmd(args: &Args, registry: &Registry) -> (i32, String, Option<ServeMetr
     let report = match Pipeline::new(PipelineConfig::new().telemetry(registry).tracer(&tracer))
         .check_execution(&run.execution, &w.spec, &mut symbols)
     {
-        Ok(outcome) => outcome.report,
+        Ok(report) => report,
         Err(e) => return (2, format!("trace: {e}\n"), None),
     };
     // Ship the messages through a traced frame sink so the `wire` lane and
@@ -1375,15 +1267,18 @@ fn trace_cmd(args: &Args, registry: &Registry) -> (i32, String, Option<ServeMetr
 fn bench(args: &Args) -> (i32, String) {
     use jmpax_bench::generators::BandedConfig;
 
-    let get = |key: &str, default: usize| {
-        args.get(key)
-            .and_then(|n| n.parse::<usize>().ok())
-            .unwrap_or(default)
+    let get = |key: &str, what: &str, default: usize| {
+        parsed::<usize>(args, "bench", key, what).map(|n| n.unwrap_or(default))
     };
-    let threads = get("threads", 8).max(1);
-    let rounds = get("rounds", 3).max(1);
-    let period = get("period", 0);
-    let repeat = get("repeat", 3).max(1);
+    let (threads, rounds, period, repeat) = match (
+        get("threads", "a thread count", 8),
+        get("rounds", "a round count", 3),
+        get("period", "a round count", 0),
+        get("repeat", "a repeat count", 3),
+    ) {
+        (Ok(t), Ok(r), Ok(p), Ok(n)) => (t.max(1), r.max(1), p, n.max(1)),
+        (Err(e), ..) | (_, Err(e), ..) | (_, _, Err(e), _) | (.., Err(e)) => return (2, e),
+    };
     // `--workers` is either a single count N (sweep [1, N]) or a comma list
     // measured exactly as given.
     let default_workers =
@@ -1591,10 +1486,10 @@ fn gen(args: &Args) -> (i32, String) {
     let Some(w) = workload_by_name(name) else {
         return (2, format!("gen: unknown workload `{name}`\n"));
     };
-    let seed = args
-        .get("seed")
-        .and_then(|s| s.parse::<u64>().ok())
-        .unwrap_or(0);
+    let seed = match parsed(args, "gen", "seed", "a seed") {
+        Ok(s) => s.unwrap_or(0),
+        Err(e) => return (2, e),
+    };
     let run = match name.as_str() {
         "xyz" if seed == 0 => {
             jmpax_sched::run_fixed(&w.program, workloads::xyz::observed_success_schedule(), 100)
@@ -1674,36 +1569,61 @@ T1 write x 1
 
     #[test]
     fn check_streaming_mode() {
+        // `--history 0`: the paper's two-level mode. Same counts and
+        // violation, named variables, a two-state trail.
         let (code, out) = run_cli(
             &[
                 "check",
                 "--spec",
                 "(x > 0) -> [y = 0, y > z)",
-                "--streaming",
+                "--history",
+                "0",
             ],
             Some(XYZ_TRACE),
         );
         assert_eq!(code, 1, "{out}");
-        assert!(out.contains("streaming analysis: 7 states"), "{out}");
-        assert!(out.contains("violation at cut S2,2"), "{out}");
+        assert!(out.contains("lattice: 7 states, 5 levels"), "{out}");
+        assert!(out.contains("runs: 3 total, 1 violating"), "{out}");
+        assert!(
+            out.contains("violation at cut S2,2 in state <x=1,y=1,z=1>"),
+            "{out}"
+        );
+        assert!(out.contains("trail (last 2 states)"), "{out}");
     }
 
     #[test]
     fn check_streaming_with_history_prints_trail() {
-        let (code, out) = run_cli(
-            &[
-                "check",
-                "--spec",
-                "(x > 0) -> [y = 0, y > z)",
-                "--streaming",
-                "--history",
-                "8",
-            ],
-            Some(XYZ_TRACE),
-        );
+        let check = |history: Option<&str>| {
+            let mut argv = vec!["check", "--spec", "(x > 0) -> [y = 0, y > z)"];
+            if let Some(h) = history {
+                argv.extend(["--history", h]);
+            }
+            run_cli(&argv, Some(XYZ_TRACE))
+        };
+        let (code, out) = check(Some("1"));
         assert_eq!(code, 1, "{out}");
-        assert!(out.contains("trail (last 5 states)"), "{out}");
-        assert!(out.contains("S0,0"), "{out}");
+        assert!(out.contains("trail (last 3 states)"), "{out}");
+        // Unbounded by default: the whole run from the initial state.
+        let (code, out) = check(None);
+        assert_eq!(code, 1, "{out}");
+        assert!(out.contains("counterexample run (4 events)"), "{out}");
+        assert!(out.contains("(initial)"), "{out}");
+        assert_eq!(check(Some("8")), (code, out));
+    }
+
+    #[test]
+    fn check_saturated_run_counts_print_as_bounds() {
+        // C(140, 70) runs: past u128::MAX.
+        let mut trace = String::from("init a = 0\ninit b = 0\n");
+        for v in 1..=70 {
+            trace.push_str(&format!("T0 write a {v}\nT1 write b {v}\n"));
+        }
+        let (code, out) = run_cli(&["check", "--spec", "a >= 0 /\\ b >= 0"], Some(&trace));
+        assert_eq!(code, 0, "{out}");
+        assert!(
+            out.contains("runs: ≥ 340282366920938463463374607431768211455 total, 0 violating"),
+            "{out}"
+        );
     }
 
     #[test]
@@ -1860,22 +1780,32 @@ T1 write m 0
 
     #[test]
     fn races_detected_and_clean_with_locks() {
-        let (code, out) = run_cli(&["races"], Some(RACY_TRACE));
+        let races = |extra: &[&'static str], trace| {
+            let mut argv = vec!["check", "--analysis", "race"];
+            argv.extend(extra);
+            run_cli(&argv, Some(trace))
+        };
+        let (code, out) = races(&[], RACY_TRACE);
         assert_eq!(code, 1, "{out}");
         assert!(out.contains("race on x"), "{out}");
         assert!(out.contains("T1 read"), "{out}");
 
-        let (code, out) = run_cli(&["races", "--locks", "m"], Some(LOCKED_TRACE));
+        let (code, out) = races(&["--locks", "m"], LOCKED_TRACE);
         assert_eq!(code, 0, "{out}");
-        assert!(out.contains("no data races"), "{out}");
+        assert!(out.contains("race: 0 races found"), "{out}");
 
         // Without declaring the lock, the same trace races.
-        let (code, _) = run_cli(&["races"], Some(LOCKED_TRACE));
+        let (code, _) = races(&[], LOCKED_TRACE);
         assert_eq!(code, 1);
 
-        let (code, out) = run_cli(&["races", "--locks", "nosuch"], Some(RACY_TRACE));
+        let (code, out) = races(&["--locks", "nosuch"], RACY_TRACE);
         assert_eq!(code, 2);
         assert!(out.contains("not in the trace"), "{out}");
+
+        // The subcommand is gone.
+        let (code, out) = run_cli(&["races"], Some(RACY_TRACE));
+        assert_eq!(code, 2);
+        assert!(out.contains("unknown command `races`"), "{out}");
     }
 
     const DEADLOCK_TRACE: &str = "\
@@ -1906,24 +1836,79 @@ T1 write b 0
         let argv = ["check", "--spec", "(x > 0) -> [y = 0, y > z)"];
         let (code_seq, out_seq) = run_cli(&argv, Some(XYZ_TRACE));
         let (code_par, out_par) = run_cli(
-            &["check", "--spec", "(x > 0) -> [y = 0, y > z)", "--parallel", "4"],
-            Some(XYZ_TRACE),
-        );
-        assert_eq!((code_seq, out_seq), (code_par, out_par));
-
-        let (code, out) = run_cli(
             &[
                 "check",
                 "--spec",
                 "(x > 0) -> [y = 0, y > z)",
-                "--streaming",
                 "--parallel",
                 "4",
             ],
             Some(XYZ_TRACE),
         );
-        assert_eq!(code, 1, "{out}");
-        assert!(out.contains("streaming analysis: 7 states"), "{out}");
+        assert_eq!((code_seq, out_seq), (code_par, out_par));
+    }
+
+    /// Runs `argv` and asserts it exits 2 naming the malformed option.
+    fn assert_rejects(argv: &[&str], key: &str) {
+        let (code, out) = run_cli(argv, Some(XYZ_TRACE));
+        assert_eq!(code, 2, "{argv:?}: {out}");
+        assert!(out.contains(&format!("--{key} expects")), "{argv:?}: {out}");
+    }
+
+    #[test]
+    fn check_rejects_malformed_numbers() {
+        let spec = "(x > 0) -> [y = 0, y > z)";
+        for key in ["parallel", "history", "frontier-cap"] {
+            assert_rejects(&["check", "--spec", spec, &format!("--{key}"), "abc"], key);
+            assert_rejects(
+                &["check", "--analysis", "race", &format!("--{key}"), "-1"],
+                key,
+            );
+        }
+    }
+
+    #[test]
+    fn chaos_rejects_malformed_numbers() {
+        for key in ["seed", "reorder-window", "stall-budget"] {
+            assert_rejects(&["chaos", "xyz", &format!("--{key}"), "abc"], key);
+        }
+    }
+
+    #[test]
+    fn load_rejects_malformed_numbers() {
+        for key in ["seed", "reorder-window"] {
+            assert_rejects(
+                &[
+                    "load",
+                    "xyz",
+                    "--connect",
+                    "127.0.0.1:1",
+                    &format!("--{key}"),
+                    "abc",
+                ],
+                key,
+            );
+        }
+    }
+
+    #[test]
+    fn trace_rejects_malformed_seed() {
+        assert_rejects(
+            &["trace", "xyz", "--out", "unused", "--seed", "abc"],
+            "seed",
+        );
+    }
+
+    #[test]
+    fn gen_rejects_malformed_seed() {
+        assert_rejects(&["gen", "xyz", "--seed", "abc"], "seed");
+    }
+
+    #[test]
+    fn bench_rejects_malformed_numbers() {
+        for key in ["threads", "rounds", "period", "repeat"] {
+            assert_rejects(&["bench", &format!("--{key}"), "abc"], key);
+        }
     }
 
     #[test]

@@ -1,75 +1,28 @@
-//! Predictive analysis over the full lattice: check a property against
-//! **every** multithreaded run in parallel.
+//! Predictive analysis over the full lattice: the test oracle of the
+//! streaming engine.
 //!
 //! Section 4 of the paper: "the idea is to store the state of the FSM or of
 //! the synthesized monitor together with each global state in the
 //! computation lattice … in any global state, all the information needed
 //! about the past can be stored via a set of states in the FSM". This module
-//! does exactly that: each node carries the set of reachable monitor
-//! memories; an edge steps every memory; a step that outputs *false* is a
-//! predicted violation of the safety property on every run realizing that
-//! path. Satisfying runs are counted exactly by dynamic programming over
-//! `(node, memory)` pairs, so `violating_runs = total_runs − satisfying`.
+//! does exactly that over a materialized [`Lattice`]: each node carries the
+//! set of reachable monitor memories; an edge steps every memory; a step
+//! that outputs *false* is a predicted violation of the safety property on
+//! every run realizing that path. Runs are counted by dynamic programming
+//! over `(node, memory)` pairs, violating runs directly (never as a
+//! difference), both saturating at `u128::MAX`. Production analysis runs
+//! the two-level [`crate::StreamingAnalyzer`]; this retained-lattice
+//! version is what tests, benches and the harness compare it against.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
-use jmpax_core::{Message, ThreadId};
-use jmpax_spec::{Monitor, MonitorState, ProgramState};
+use jmpax_core::ThreadId;
+use jmpax_spec::{Monitor, MonitorState};
 
-use crate::config::AnalysisConfig;
-use crate::cut::Cut;
+use crate::builder::{RunStep, Violation};
 use crate::explore::{Lattice, NodeId};
 use crate::input::LatticeInput;
-
-/// One step of a (counter-example) run: the thread that moved, the message
-/// consumed, and the global state reached. The first step of a run has no
-/// thread/message — it is the initial state.
-#[derive(Clone, Debug)]
-pub struct RunStep {
-    /// The advancing thread (`None` for the initial state).
-    pub thread: Option<ThreadId>,
-    /// The relevant message consumed (`None` for the initial state).
-    pub message: Option<Message>,
-    /// The global state after the step.
-    pub state: ProgramState,
-}
-
-/// A complete violating run, from the initial state to the violating state.
-#[derive(Clone, Debug)]
-pub struct Counterexample {
-    /// The steps, starting with the initial state.
-    pub steps: Vec<RunStep>,
-}
-
-impl Counterexample {
-    /// The state sequence of the run.
-    #[must_use]
-    pub fn states(&self) -> Vec<ProgramState> {
-        self.steps.iter().map(|s| s.state.clone()).collect()
-    }
-
-    /// Length in events (steps minus the initial state).
-    #[must_use]
-    pub fn event_count(&self) -> usize {
-        self.steps.len().saturating_sub(1)
-    }
-}
-
-/// A predicted violation: the property evaluated to false at `cut`.
-#[derive(Clone, Debug)]
-pub struct Violation {
-    /// The cut at which the property failed.
-    pub cut: Cut,
-    /// The global state at that cut.
-    pub state: ProgramState,
-    /// The monitor memory *after* the failing step (identifies the history
-    /// class of the runs that fail here).
-    pub memory: MonitorState,
-    /// A full violating run, when counterexample reconstruction was enabled
-    /// and within budget.
-    pub counterexample: Option<Counterexample>,
-}
 
 /// Result of a full predictive analysis.
 #[derive(Clone, Debug)]
@@ -84,13 +37,9 @@ pub struct LatticeAnalysis {
     pub total_runs: u128,
     /// Runs that violate the property at some state.
     pub violating_runs: u128,
-    /// Distinct `(cut, memory)` violation points, with counterexamples.
+    /// Distinct `(cut, memory)` violation points, each with a full
+    /// counterexample run.
     pub violations: Vec<Violation>,
-    /// Whether the verdict covers every consistent run exactly, or upstream
-    /// resilience machinery (gap skipping, frontier pruning) lost
-    /// information. Full lattice analysis itself is always exact; degraded
-    /// values are threaded in by the ingestion pipeline.
-    pub exactness: crate::reassemble::Exactness,
 }
 
 impl LatticeAnalysis {
@@ -107,68 +56,24 @@ impl LatticeAnalysis {
     pub fn prediction_only(&self) -> bool {
         self.violating_runs > 0 && self.violating_runs < self.total_runs
     }
-
-    /// Publishes this analysis's statistics into `registry` under the same
-    /// `lattice.*` metric names the streaming analyzer uses, so offline
-    /// (retained-lattice) and online analyses render through one snapshot.
-    /// Run counts saturate at `u64::MAX` — they are combinatorial and can
-    /// exceed the counter width.
-    pub fn record(&self, registry: &jmpax_telemetry::Registry) {
-        registry
-            .counter("lattice.states_explored")
-            .add(self.states as u64);
-        registry
-            .counter("lattice.levels_built")
-            .add(self.levels as u64);
-        registry
-            .gauge("lattice.peak_frontier")
-            .set(self.max_level_width as u64);
-        registry
-            .counter("lattice.total_runs")
-            .add(u64::try_from(self.total_runs).unwrap_or(u64::MAX));
-        registry
-            .counter("lattice.violating_runs")
-            .add(u64::try_from(self.violating_runs).unwrap_or(u64::MAX));
-        registry
-            .counter("lattice.violations")
-            .add(self.violations.len() as u64);
-        // The uniform per-analysis family (`analysis.<kind>.*`), mirroring
-        // `StreamReport::record_analysis`, so full-lattice and streaming
-        // runs of the ptLTL checker are comparable under one metric name.
-        registry
-            .counter("analysis.ltl.violations")
-            .add(self.violations.len() as u64);
-        registry
-            .counter("analysis.ltl.states_explored")
-            .add(self.states as u64);
-        registry
-            .counter("analysis.ltl.levels_built")
-            .add(self.levels as u64);
-    }
 }
 
-/// Convenience: build the lattice from `input` and analyze it with the
-/// default (sequential, exact) configuration.
+/// Convenience: build the lattice from `input` and analyze it.
 #[must_use]
 pub fn analyze(input: LatticeInput, monitor: &Monitor) -> LatticeAnalysis {
-    analyze_with(input, monitor, &AnalysisConfig::default())
-}
-
-/// Builds the lattice from `input` (honoring `config.parallelism` — see
-/// [`Lattice::build_with`]) and checks `monitor` against every run.
-#[must_use]
-pub fn analyze_with(input: LatticeInput, monitor: &Monitor, config: &AnalysisConfig) -> LatticeAnalysis {
-    analyze_lattice(&Lattice::build_with(input, config), monitor, *config)
+    analyze_lattice(&Lattice::build(input), monitor)
 }
 
 /// Checks `monitor` against every run of the materialized lattice.
 #[must_use]
-pub fn analyze_lattice(lattice: &Lattice, monitor: &Monitor, options: AnalysisConfig) -> LatticeAnalysis {
+pub fn analyze_lattice(lattice: &Lattice, monitor: &Monitor) -> LatticeAnalysis {
     let n = lattice.node_count();
-    // Alive memories per node, with run-prefix counts (for exact violating
-    // run counting) and one predecessor `(node, memory)` for reconstruction.
+    // Alive memories per node, with run-prefix counts, and one predecessor
+    // `(node, memory)` per memory for reconstruction.
     let mut alive: Vec<HashMap<MonitorState, u128>> = vec![HashMap::new(); n];
     let mut parent: Vec<HashMap<MonitorState, (NodeId, MonitorState)>> = vec![HashMap::new(); n];
+    // Run prefixes reaching each node that already violated.
+    let mut violated = vec![0u128; n];
     // Dead (violating) memories per node — for deduplication.
     let mut dead: Vec<HashSet<MonitorState>> = vec![HashSet::new(); n];
     let mut violations = Vec::new();
@@ -179,72 +84,59 @@ pub fn analyze_lattice(lattice: &Lattice, monitor: &Monitor, options: AnalysisCo
         alive[bottom].insert(mem0, 1);
     } else {
         dead[bottom].insert(mem0);
+        violated[bottom] = 1;
         violations.push((bottom, mem0, None::<(NodeId, MonitorState)>));
     }
 
     // One memo table for the whole pass: the retained lattice steps the
-    // same `(memory, valuation)` pairs once per in-edge, and unlike the
-    // streaming analyzer there is no level seal to scope the table to, so
-    // it lives for the analysis. Disabled via `options.eval_cache`.
-    let mut cache = options.eval_cache.then(|| monitor.step_cache());
+    // same `(memory, valuation)` pairs once per in-edge.
+    let mut cache = monitor.step_cache();
     for k in 0..lattice.level_count() {
         for &nid in lattice.level(k) {
             // Iterate a snapshot: successor updates never touch this level.
             let mems: Vec<(MonitorState, u128)> =
                 alive[nid].iter().map(|(&m, &c)| (m, c)).collect();
-            for &(succ, thread) in &lattice.nodes()[nid].succs {
+            for &(succ, _) in &lattice.nodes()[nid].succs {
+                violated[succ] = violated[succ].saturating_add(violated[nid]);
                 let succ_state = &lattice.nodes()[succ].state;
                 for &(mem, count) in &mems {
-                    let (next_mem, ok) = match cache.as_mut() {
-                        Some(cache) => monitor.step_cached(mem, succ_state, cache),
-                        None => monitor.step(mem, succ_state),
-                    };
+                    let (next_mem, ok) = monitor.step_cached(mem, succ_state, &mut cache);
                     if ok {
                         match alive[succ].entry(next_mem) {
-                            Entry::Occupied(mut e) => *e.get_mut() += count,
+                            Entry::Occupied(mut e) => *e.get_mut() = e.get().saturating_add(count),
                             Entry::Vacant(e) => {
                                 e.insert(count);
                                 parent[succ].insert(next_mem, (nid, mem));
                             }
                         }
-                    } else if dead[succ].insert(next_mem) {
-                        violations.push((succ, next_mem, Some((nid, mem))));
+                    } else {
+                        violated[succ] = violated[succ].saturating_add(count);
+                        if dead[succ].insert(next_mem) {
+                            violations.push((succ, next_mem, Some((nid, mem))));
+                        }
                     }
                 }
-                let _ = thread;
             }
         }
     }
 
-    let total_runs = lattice.count_runs();
-    let top = lattice.top();
-    let satisfying: u128 = alive[top].values().sum();
-    let violating_runs = total_runs.saturating_sub(satisfying);
-
-    // Reconstruct counterexamples.
-    let mut out = Vec::new();
-    for (i, (nid, mem, pred)) in violations.into_iter().enumerate() {
-        let counterexample = if i < options.max_counterexamples {
-            Some(reconstruct(lattice, &parent, nid, pred))
-        } else {
-            None
-        };
-        out.push(Violation {
+    let violations = violations
+        .into_iter()
+        .map(|(nid, memory, pred)| Violation {
             cut: lattice.nodes()[nid].cut.clone(),
             state: lattice.nodes()[nid].state.clone(),
-            memory: mem,
-            counterexample,
-        });
-    }
+            memory,
+            trail: reconstruct(lattice, &parent, nid, pred),
+        })
+        .collect();
 
     LatticeAnalysis {
         states: lattice.node_count(),
         levels: lattice.level_count(),
         max_level_width: lattice.max_level_width(),
-        total_runs,
-        violating_runs,
-        violations: out,
-        exactness: crate::reassemble::Exactness::Exact,
+        total_runs: lattice.count_runs(),
+        violating_runs: violated[lattice.top()],
+        violations,
     }
 }
 
@@ -255,8 +147,7 @@ fn reconstruct(
     parent: &[HashMap<MonitorState, (NodeId, MonitorState)>],
     violating_node: NodeId,
     violating_pred: Option<(NodeId, MonitorState)>,
-) -> Counterexample {
-    // Collect (node) path backwards.
+) -> Vec<RunStep> {
     let mut rev: Vec<NodeId> = vec![violating_node];
     let mut cursor = violating_pred;
     while let Some((node, mem)) = cursor {
@@ -265,51 +156,22 @@ fn reconstruct(
     }
     rev.reverse();
 
-    let mut steps = Vec::with_capacity(rev.len());
-    steps.push(RunStep {
-        thread: None,
-        message: None,
-        state: lattice.nodes()[rev[0]].state.clone(),
-    });
+    let step = |node: NodeId, moved: Option<(NodeId, ThreadId)>| RunStep {
+        cut: lattice.nodes()[node].cut.clone(),
+        thread: moved.map(|(_, t)| t),
+        message: moved.and_then(|(pred, t)| lattice.edge_message(pred, t).cloned()),
+        state: lattice.nodes()[node].state.clone(),
+    };
+    let mut steps = vec![step(rev[0], None)];
     for w in rev.windows(2) {
         let (pred, succ) = (w[0], w[1]);
         let thread = lattice.nodes()[pred]
             .cut
             .advancing_thread(&lattice.nodes()[succ].cut)
             .expect("parent chain must follow lattice edges");
-        let message = lattice.edge_message(pred, thread).cloned();
-        steps.push(RunStep {
-            thread: Some(thread),
-            message,
-            state: lattice.nodes()[succ].state.clone(),
-        });
+        steps.push(step(succ, Some((pred, thread))));
     }
-    Counterexample { steps }
-}
-
-/// Checks several properties against the **same** lattice in one pass each
-/// — the lattice construction (usually the dominant cost) is shared. The
-/// relevance used to build the input must cover the union of the formulas'
-/// variables, otherwise properties over unwatched variables see stale
-/// values.
-#[must_use]
-pub fn analyze_multi(
-    lattice: &Lattice,
-    monitors: &[Monitor],
-    options: AnalysisConfig,
-) -> Vec<LatticeAnalysis> {
-    monitors
-        .iter()
-        .map(|m| analyze_lattice(lattice, m, options))
-        .collect()
-}
-
-/// Checks a single linear run (the observed one) — the JPaX-style baseline,
-/// exposed here so callers can compare predictive vs single-trace analysis
-/// without the full lattice.
-#[must_use]
-pub fn check_single_run(states: &[ProgramState], monitor: &Monitor) -> Option<usize> {
-    monitor.first_violation(states)
+    steps
 }
 
 /// Helper mirroring the paper's experiments: analyze `input` and report the
@@ -323,8 +185,9 @@ pub fn summarize(input: LatticeInput, monitor: &Monitor) -> (usize, u128, u128) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jmpax_core::{Event, MvcInstrumentor, Relevance, SymbolTable, ThreadId};
-    use jmpax_spec::parse;
+    use crate::cut::Cut;
+    use jmpax_core::{Event, MvcInstrumentor, Relevance, SymbolTable};
+    use jmpax_spec::{parse, ProgramState};
 
     const T1: ThreadId = ThreadId(0);
     const T2: ThreadId = ThreadId(1);
@@ -373,10 +236,10 @@ mod tests {
         let (input, monitor) = fig6();
         let analysis = analyze(input, &monitor);
         let v = &analysis.violations[0];
-        let ce = v.counterexample.as_ref().unwrap();
         // The violating run is e1 e3 e2 e4: S00 S10 S20 S21 S22.
-        let cuts: Vec<String> = ce.steps.iter().map(|s| s.state.to_string()).collect();
-        assert_eq!(ce.event_count(), 4);
+        let cuts: Vec<String> = v.trail.iter().map(|s| s.state.to_string()).collect();
+        assert!(v.is_full_run());
+        assert_eq!(v.event_count(), 4);
         // The state where y=1 while z=0 must be on the path.
         assert!(
             cuts.iter()
@@ -386,7 +249,7 @@ mod tests {
         // Violation fires at the top state (x>0 with the interval dead).
         assert_eq!(v.cut, Cut::from_counts(vec![2, 2]));
         // Thread/message annotations are present on every non-initial step.
-        assert!(ce.steps[1..]
+        assert!(v.trail[1..]
             .iter()
             .all(|s| s.thread.is_some() && s.message.is_some()));
     }
@@ -407,8 +270,8 @@ mod tests {
             .iter()
             .map(|c| lat.nodes()[lat.node_by_cut(c).unwrap()].state.clone())
             .collect();
-        assert_eq!(check_single_run(&states, &monitor), None);
-        let analysis = analyze_lattice(&lat, &monitor, AnalysisConfig::default());
+        assert_eq!(monitor.first_violation(&states), None);
+        let analysis = analyze_lattice(&lat, &monitor);
         assert_eq!(analysis.violating_runs, 1);
     }
 
@@ -440,8 +303,8 @@ mod tests {
         assert_eq!(analysis.total_runs, 1);
         assert_eq!(analysis.violating_runs, 1);
         assert_eq!(analysis.violations.len(), 1);
-        let ce = analysis.violations[0].counterexample.as_ref().unwrap();
-        assert_eq!(ce.event_count(), 0);
+        assert!(analysis.violations[0].is_full_run());
+        assert_eq!(analysis.violations[0].event_count(), 0);
     }
 
     #[test]
@@ -465,21 +328,6 @@ mod tests {
     }
 
     #[test]
-    fn counterexample_budget_respected() {
-        let (input, monitor) = fig6();
-        let lat = Lattice::build(input);
-        let analysis = analyze_lattice(
-            &lat,
-            &monitor,
-            AnalysisConfig::default().with_max_counterexamples(0),
-        );
-        assert!(analysis
-            .violations
-            .iter()
-            .all(|v| v.counterexample.is_none()));
-    }
-
-    #[test]
     fn summarize_returns_triple() {
         let (input, monitor) = fig6();
         assert_eq!(summarize(input, &monitor), (7, 3, 1));
@@ -495,11 +343,10 @@ mod tests {
         let always_true = parse("x >= -1", &mut syms).unwrap().monitor().unwrap();
         let always_false = parse("x < -1", &mut syms).unwrap().monitor().unwrap();
         let lat = Lattice::build(input);
-        let results = analyze_multi(
-            &lat,
-            &[paper_monitor, always_true, always_false],
-            AnalysisConfig::default(),
-        );
+        let results: Vec<LatticeAnalysis> = [paper_monitor, always_true, always_false]
+            .iter()
+            .map(|m| analyze_lattice(&lat, m))
+            .collect();
         assert_eq!(results.len(), 3);
         assert_eq!(results[0].violating_runs, 1);
         assert_eq!(results[1].violating_runs, 0);

@@ -11,9 +11,11 @@
 //! embeds a [`CausalBuffer`]), advances the lattice frontier one level at a
 //! time whenever every frontier cut has all the messages it needs, and
 //! retains only the current frontier plus per-thread queues of undelivered
-//! messages. Violations are reported with the cut, state and monitor memory
-//! (full counterexample paths require the retained lattice of
-//! [`crate::analysis`]).
+//! messages. Every frontier memory carries the number of run prefixes that
+//! reach it, so the report counts total and violating runs exactly.
+//! Violations carry a trail through the retained history
+//! ([`AnalysisConfig::history`]): with every level retained, a trail is a
+//! full counterexample run.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -29,36 +31,74 @@ use crate::cut::Cut;
 use crate::parallel::{self, ExpansionPool, LevelShared};
 use crate::reassemble::Exactness;
 
-/// A violation observed by the streaming analyzer.
+/// One step of a violating run: the cut and global state reached, and the
+/// thread and message that reached it. The initial state of a run has no
+/// thread or message.
 #[derive(Clone, Debug)]
-pub struct StreamViolation {
+pub struct RunStep {
+    /// The cut reached.
+    pub cut: Cut,
+    /// The advancing thread (`None` for the initial state).
+    pub thread: Option<ThreadId>,
+    /// The relevant message consumed (`None` for the initial state).
+    pub message: Option<Message>,
+    /// The global state after the step.
+    pub state: ProgramState,
+}
+
+/// A predicted violation: the property evaluated to false at `cut`.
+#[derive(Clone, Debug)]
+pub struct Violation {
     /// The cut at which the property failed.
     pub cut: Cut,
     /// The global state at that cut.
     pub state: ProgramState,
-    /// The monitor memory after the failing step.
+    /// The monitor memory after the failing step (identifies the history
+    /// class of the runs that fail here).
     pub memory: MonitorState,
-    /// The last steps of a violating run, oldest first, ending at the
-    /// violating `(cut, state)`. Only as long as the retained history
-    /// ([`StreamingAnalyzer::with_history`]) allows — the paper's
-    /// "garbage-collected" middle ground between two-level streaming and
-    /// full counterexample retention. Always contains at least the
-    /// violating state itself.
-    pub trail: Vec<(Cut, ProgramState)>,
+    /// A violating run ending at `(cut, state)`, oldest step first. It is
+    /// the whole run from the initial state when the retained history
+    /// reaches back that far ([`AnalysisConfig::history`]), and only its
+    /// last steps otherwise — the paper's "garbage-collected" middle
+    /// ground between two-level streaming and full counterexamples.
+    /// Always contains at least the violating state itself.
+    pub trail: Vec<RunStep>,
+}
+
+impl Violation {
+    /// True when the trail starts at the initial state: a full
+    /// counterexample run.
+    #[must_use]
+    pub fn is_full_run(&self) -> bool {
+        self.trail.first().is_some_and(|s| s.thread.is_none())
+    }
+
+    /// Events on the trail (its steps that advance a thread).
+    #[must_use]
+    pub fn event_count(&self) -> usize {
+        self.trail.iter().filter(|s| s.thread.is_some()).count()
+    }
 }
 
 /// Summary statistics of a completed streaming analysis.
 #[derive(Clone, Debug)]
 pub struct StreamReport {
     /// All violations found, in discovery order.
-    pub violations: Vec<StreamViolation>,
+    pub violations: Vec<Violation>,
     /// Total lattice nodes explored (states analyzed).
     pub states_explored: u64,
-    /// Number of frontier advances performed (lattice levels built).
+    /// Number of frontier advances performed (the lattice has one more
+    /// level than this).
     pub levels_built: u32,
     /// Peak width of the frontier — the paper's "only two consecutive
     /// levels" memory bound in action.
     pub peak_frontier: usize,
+    /// Multithreaded runs through the final frontier — every consistent
+    /// run once the analysis completed. Saturates at `u128::MAX`.
+    pub total_runs: u128,
+    /// Those of `total_runs` that violate the property at some state,
+    /// counted directly (never as a difference). Saturates at `u128::MAX`.
+    pub violating_runs: u128,
     /// True when the analysis consumed every message (the frontier reached
     /// the top cut).
     pub completed: bool,
@@ -76,6 +116,12 @@ impl StreamReport {
     #[must_use]
     pub fn satisfied(&self) -> bool {
         self.violations.is_empty()
+    }
+
+    /// Lattice levels: one more than the frontier advances.
+    #[must_use]
+    pub fn levels(&self) -> usize {
+        self.levels_built as usize + 1
     }
 
     /// Publishes this report's statistics into `registry` under the same
@@ -105,9 +151,10 @@ impl StreamReport {
     }
 
     /// Publishes the uniform `analysis.ltl.*` metric family every
-    /// pluggable analysis exposes (`crate::analyses`). The legacy
-    /// `lattice.*` names above stay for dashboards; these are the
-    /// cross-analysis view.
+    /// pluggable analysis exposes (`crate::analyses`), plus the run
+    /// counts `lattice.total_runs` / `lattice.violating_runs`, which only
+    /// exist once the analysis finished. Run counts saturate at
+    /// `u64::MAX`.
     pub fn record_analysis(&self, registry: &Registry) {
         registry
             .counter("analysis.ltl.violations")
@@ -121,19 +168,110 @@ impl StreamReport {
         let (pruned, gaps) = self.exactness.losses();
         registry.counter("analysis.ltl.frontier_pruned").add(pruned);
         registry.counter("analysis.ltl.gaps_skipped").add(gaps);
+        registry
+            .counter("lattice.total_runs")
+            .add(u64::try_from(self.total_runs).unwrap_or(u64::MAX));
+        registry
+            .counter("lattice.violating_runs")
+            .add(u64::try_from(self.violating_runs).unwrap_or(u64::MAX));
     }
 }
 
 #[derive(Clone, Debug)]
 pub(crate) struct FrontierNode {
     pub(crate) state: ProgramState,
-    /// Alive monitor memories reaching this cut.
-    pub(crate) mems: HashSet<MonitorState>,
+    /// Alive monitor memories reaching this cut, in ascending memory
+    /// order — the order both expansion paths step them in.
+    pub(crate) mems: Vec<Alive>,
     /// Dead memories (for violation dedup).
     pub(crate) dead: HashSet<MonitorState>,
-    /// One predecessor `(cut, memory)` per alive memory, for trail
-    /// reconstruction through the retained history.
-    pub(crate) parents: HashMap<MonitorState, (Cut, MonitorState)>,
+    /// Run prefixes reaching this cut that already violated (saturating).
+    pub(crate) violated: u128,
+}
+
+/// One alive monitor memory at a frontier cut.
+#[derive(Clone, Debug)]
+pub(crate) struct Alive {
+    pub(crate) memory: MonitorState,
+    /// Run prefixes reaching the cut in this memory (saturating).
+    pub(crate) runs: u128,
+    /// One predecessor `(cut, memory)`, for trail reconstruction through
+    /// the retained history; `None` at the initial cut.
+    pub(crate) parent: Option<(Cut, MonitorState)>,
+}
+
+impl FrontierNode {
+    pub(crate) fn new(state: ProgramState) -> Self {
+        Self {
+            state,
+            mems: Vec::new(),
+            dead: HashSet::new(),
+            violated: 0,
+        }
+    }
+
+    /// The alive memory `memory`, if any.
+    fn alive(&self, memory: MonitorState) -> Option<&Alive> {
+        let i = self.mems.binary_search_by_key(&memory, |a| a.memory).ok()?;
+        Some(&self.mems[i])
+    }
+
+    /// Runs every prefix reaching `src` at `src_cut` across one edge into
+    /// this node at `cut`: steps each alive memory, carrying its run count
+    /// to the successor memory or, when the property fails, to `violated`
+    /// (a first failure per memory becomes a violation seed). Shared by
+    /// the sequential path and the pool's shards. Returns the monitor
+    /// steps taken.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn absorb(
+        &mut self,
+        cut: &Cut,
+        src_cut: &Cut,
+        src: &FrontierNode,
+        monitor: &Monitor,
+        mut cache: Option<&mut StepCache>,
+        ring: &mut TraceRing,
+        level: u64,
+        seeds: &mut Vec<ViolationSeed>,
+    ) -> u64 {
+        self.violated = self.violated.saturating_add(src.violated);
+        for &Alive { memory, runs, .. } in &src.mems {
+            let (next, ok) = match cache.as_deref_mut() {
+                Some(cache) => monitor.step_cached(memory, &self.state, cache),
+                None => monitor.step(memory, &self.state),
+            };
+            if ring.is_enabled() {
+                ring.record(TraceKind::PropertyEvaluated {
+                    level,
+                    violated: !ok,
+                });
+            }
+            if ok {
+                match self.mems.binary_search_by_key(&next, |a| a.memory) {
+                    Ok(i) => self.mems[i].runs = self.mems[i].runs.saturating_add(runs),
+                    Err(i) => self.mems.insert(
+                        i,
+                        Alive {
+                            memory: next,
+                            runs,
+                            parent: Some((src_cut.clone(), memory)),
+                        },
+                    ),
+                }
+            } else {
+                self.violated = self.violated.saturating_add(runs);
+                if self.dead.insert(next) {
+                    seeds.push(ViolationSeed {
+                        cut: cut.clone(),
+                        state: self.state.clone(),
+                        memory: next,
+                        pred: (src_cut.clone(), memory),
+                    });
+                }
+            }
+        }
+        src.mems.len() as u64
+    }
 }
 
 /// A violation discovered during level expansion, before its trail is
@@ -150,6 +288,7 @@ pub(crate) struct ViolationSeed {
 
 /// The merged outcome of expanding one sealed level, identical in shape
 /// whether the sequential path or the sharded worker pool produced it.
+#[derive(Default)]
 struct LevelExpansion {
     next: HashMap<Cut, FrontierNode>,
     seeds: Vec<ViolationSeed>,
@@ -196,7 +335,7 @@ pub struct StreamingAnalyzer {
     past: std::collections::VecDeque<HashMap<Cut, FrontierNode>>,
     /// How many retired levels to keep for violation trails.
     history: usize,
-    violations: Vec<StreamViolation>,
+    violations: Vec<Violation>,
     states_explored: u64,
     levels_built: u32,
     peak_frontier: usize,
@@ -289,21 +428,26 @@ impl StreamingAnalyzer {
         let bottom = Cut::bottom(threads);
         let mut frontier = HashMap::new();
         let mut violations = Vec::new();
-        let mut node = FrontierNode {
-            state: initial.clone(),
-            mems: HashSet::new(),
-            dead: HashSet::new(),
-            parents: HashMap::new(),
-        };
+        let mut node = FrontierNode::new(initial.clone());
         if ok0 {
-            node.mems.insert(mem0);
+            node.mems.push(Alive {
+                memory: mem0,
+                runs: 1,
+                parent: None,
+            });
         } else {
             node.dead.insert(mem0);
-            violations.push(StreamViolation {
+            node.violated = 1;
+            violations.push(Violation {
                 cut: bottom.clone(),
                 state: initial.clone(),
                 memory: mem0,
-                trail: vec![(bottom.clone(), initial.clone())],
+                trail: vec![RunStep {
+                    cut: bottom.clone(),
+                    thread: None,
+                    message: None,
+                    state: initial.clone(),
+                }],
             });
         }
         frontier.insert(bottom, node);
@@ -419,13 +563,14 @@ impl StreamingAnalyzer {
         self
     }
 
-    /// Applies every streaming knob of an [`AnalysisConfig`] at once:
-    /// history, frontier cap, parallelism, shard granularity, and the
-    /// step cache (`max_counterexamples` only affects the full-lattice
-    /// analysis).
+    /// Applies every knob of an [`AnalysisConfig`] at once: history (when
+    /// set), frontier cap, parallelism, shard granularity, and the step
+    /// cache.
     #[must_use]
     pub fn with_config(mut self, config: &AnalysisConfig) -> Self {
-        self.history = config.history;
+        if let Some(levels) = config.history {
+            self.history = levels;
+        }
         self.frontier_cap = (config.frontier_cap > 0).then_some(config.frontier_cap);
         self.parallelism = config.workers();
         self.shard_granularity = if config.shard_granularity == 0 {
@@ -443,6 +588,7 @@ impl StreamingAnalyzer {
     /// older levels garbage-collected exactly as Section 4 suggests
     /// ("parts of the lattice which become non-relevant … can be
     /// garbage-collected while the analysis process continues").
+    /// `usize::MAX` keeps every level: every trail is a full run.
     #[must_use]
     pub fn with_history(mut self, levels: usize) -> Self {
         self.history = levels;
@@ -463,29 +609,53 @@ impl StreamingAnalyzer {
         self
     }
 
-    /// Reconstructs the trail ending at `(pred_cut, pred_mem) → violation`.
-    fn trail_for(
+    /// Completes `seed` with its trail: its violating step, preceded by
+    /// the predecessor in `current` and its ancestors in the retained
+    /// history, as far back as that reaches.
+    fn violation_for(
         &self,
         current: &HashMap<Cut, FrontierNode>,
-        violating: (Cut, ProgramState),
-        pred: Option<(Cut, MonitorState)>,
-    ) -> Vec<(Cut, ProgramState)> {
-        let mut rev = vec![violating];
-        let mut cursor = pred;
-        // The predecessor lives in `current`; its ancestors in `past`.
-        let mut levels: Vec<&HashMap<Cut, FrontierNode>> = vec![current];
-        levels.extend(self.past.iter().rev());
-        let mut level_idx = 0;
-        while let Some((cut, mem)) = cursor {
-            let Some(node) = levels.get(level_idx).and_then(|l| l.get(&cut)) else {
+        seed: ViolationSeed,
+    ) -> Violation {
+        let mut rev = vec![(seed.cut.clone(), seed.state.clone())];
+        let mut cursor = Some(seed.pred);
+        let mut levels = std::iter::once(current).chain(self.past.iter().rev());
+        while let Some((cut, mem)) = cursor.take() {
+            let Some(node) = levels.next().and_then(|l| l.get(&cut)) else {
+                cursor = Some((cut, mem));
                 break;
             };
-            rev.push((cut.clone(), node.state.clone()));
-            cursor = node.parents.get(&mem).map(|(c, m)| (c.clone(), *m));
-            level_idx += 1;
+            cursor = node.alive(mem).and_then(|a| a.parent.clone());
+            rev.push((cut, node.state.clone()));
         }
-        rev.reverse();
-        rev
+        // `cursor` now holds the cut before the oldest kept step, if the
+        // history ran out before the initial state.
+        let mut before = cursor.map(|(cut, _)| cut);
+        let trail = rev
+            .into_iter()
+            .rev()
+            .map(|(cut, state)| {
+                let thread = before.as_ref().and_then(|b| b.advancing_thread(&cut));
+                let message = thread.and_then(|t| {
+                    self.delivered[t.index()]
+                        .get(cut.get(t) as usize - 1)
+                        .cloned()
+                });
+                before = Some(cut.clone());
+                RunStep {
+                    cut,
+                    thread,
+                    message,
+                    state,
+                }
+            })
+            .collect();
+        Violation {
+            cut: seed.cut,
+            state: seed.state,
+            memory: seed.memory,
+            trail,
+        }
     }
 
     /// Offers one message (any delivery order) and advances the frontier as
@@ -534,11 +704,21 @@ impl StreamingAnalyzer {
         let completed = self.buffer.is_drained()
             && self.frontier.len() == 1
             && self.frontier.keys().next().is_some_and(|c| self.is_top(c));
+        let (mut total_runs, mut violating_runs) = (0u128, 0u128);
+        for node in self.frontier.values() {
+            for alive in &node.mems {
+                total_runs = total_runs.saturating_add(alive.runs);
+            }
+            total_runs = total_runs.saturating_add(node.violated);
+            violating_runs = violating_runs.saturating_add(node.violated);
+        }
         StreamReport {
             violations: self.violations,
             states_explored: self.states_explored,
             levels_built: self.levels_built,
             peak_frontier: self.peak_frontier,
+            total_runs,
+            violating_runs,
             completed,
             exactness: Exactness::degraded(self.dropped_cuts, 0),
             non_writes_skipped: self.non_writes_skipped,
@@ -548,7 +728,7 @@ impl StreamingAnalyzer {
     /// Violations found so far (available mid-stream — the analysis is
     /// online).
     #[must_use]
-    pub fn violations(&self) -> &[StreamViolation] {
+    pub fn violations(&self) -> &[Violation] {
         &self.violations
     }
 
@@ -610,20 +790,11 @@ impl StreamingAnalyzer {
         current: &HashMap<Cut, FrontierNode>,
         level_index: u64,
     ) -> LevelExpansion {
-        let mut out = LevelExpansion {
-            next: HashMap::new(),
-            seeds: Vec::new(),
-            new_states: 0,
-            deduped: 0,
-            evals: 0,
-            non_writes: 0,
-        };
+        let mut out = LevelExpansion::default();
         let mut sources: Vec<&Cut> = current.keys().collect();
         sources.sort();
         for cut in sources {
             let node = &current[cut];
-            let mut mems: Vec<MonitorState> = node.mems.iter().copied().collect();
-            mems.sort_unstable();
             for t in 0..self.threads {
                 let Some(msg) = parallel::enabled(&self.delivered, cut, t) else {
                     continue;
@@ -637,7 +808,7 @@ impl StreamingAnalyzer {
                     out.non_writes += 1;
                 }
                 let succ_cut = cut.advanced(ThreadId(t as u32));
-                let entry = match out.next.entry(succ_cut.clone()) {
+                let succ = match out.next.entry(succ_cut.clone()) {
                     Entry::Occupied(e) => {
                         out.deduped += 1;
                         e.into_mut()
@@ -647,50 +818,22 @@ impl StreamingAnalyzer {
                         // States are uniquely determined by the cut, so
                         // the first visiting edge computes the node's
                         // state once and later edges reuse it.
-                        let state = match update {
+                        e.insert(FrontierNode::new(match update {
                             Some((var, value)) => node.state.updated(var, value),
                             None => node.state.clone(),
-                        };
-                        e.insert(FrontierNode {
-                            state,
-                            mems: HashSet::new(),
-                            dead: HashSet::new(),
-                            parents: HashMap::new(),
-                        })
+                        }))
                     }
                 };
-                let FrontierNode {
-                    state,
-                    mems: succ_mems,
-                    dead,
-                    parents,
-                } = entry;
-                for &mem in &mems {
-                    let (next_mem, ok) = if self.eval_cache {
-                        self.monitor.step_cached(mem, state, &mut self.step_cache)
-                    } else {
-                        self.monitor.step(mem, state)
-                    };
-                    out.evals += 1;
-                    if self.trace_ring.is_enabled() {
-                        self.trace_ring.record(TraceKind::PropertyEvaluated {
-                            level: level_index,
-                            violated: !ok,
-                        });
-                    }
-                    if ok {
-                        if succ_mems.insert(next_mem) {
-                            parents.insert(next_mem, (cut.clone(), mem));
-                        }
-                    } else if dead.insert(next_mem) {
-                        out.seeds.push(ViolationSeed {
-                            cut: succ_cut.clone(),
-                            state: state.clone(),
-                            memory: next_mem,
-                            pred: (cut.clone(), mem),
-                        });
-                    }
-                }
+                out.evals += succ.absorb(
+                    &succ_cut,
+                    cut,
+                    node,
+                    &self.monitor,
+                    self.eval_cache.then_some(&mut self.step_cache),
+                    &mut self.trace_ring,
+                    level_index,
+                    &mut out.seeds,
+                );
             }
         }
         out
@@ -743,14 +886,7 @@ impl StreamingAnalyzer {
         if let Some(spread) = ((max_assigned - min_assigned) * 100).checked_div(max_assigned) {
             self.tel_imbalance.set(spread);
         }
-        let mut out = LevelExpansion {
-            next: HashMap::new(),
-            seeds: Vec::new(),
-            new_states: 0,
-            deduped: 0,
-            evals: 0,
-            non_writes: 0,
-        };
+        let mut out = LevelExpansion::default();
         for r in reports {
             self.tel_shard_width.record(r.assigned);
             self.tel_merge.record(r.merge_ns);
@@ -823,17 +959,8 @@ impl StreamingAnalyzer {
             let level_violations = exp.seeds.len() as u64;
             self.tel_violations.add(level_violations);
             for seed in exp.seeds {
-                let trail = self.trail_for(
-                    &current,
-                    (seed.cut.clone(), seed.state.clone()),
-                    Some(seed.pred),
-                );
-                self.violations.push(StreamViolation {
-                    cut: seed.cut,
-                    state: seed.state,
-                    memory: seed.memory,
-                    trail,
-                });
+                let violation = self.violation_for(&current, seed);
+                self.violations.push(violation);
             }
             let mut next = exp.next;
             let level_evals = exp.evals;
@@ -944,6 +1071,7 @@ mod tests {
         assert_eq!(report.violations.len(), 1);
         assert_eq!(report.states_explored, 7);
         assert_eq!(report.levels_built, 4);
+        assert_eq!((report.total_runs, report.violating_runs), (3, 1));
         assert!(report.completed);
         assert!(report.peak_frontier <= 2);
     }
@@ -1008,12 +1136,17 @@ mod tests {
         let trail = &report.violations[0].trail;
         // Full trail: S0,0 S1,0 S2,0 S2,1 S2,2 (the violating run).
         assert_eq!(trail.len(), 5, "{trail:?}");
-        assert_eq!(trail[0].0, Cut::bottom(2));
-        assert_eq!(trail[4].0, Cut::from_counts(vec![2, 2]));
+        assert!(report.violations[0].is_full_run());
+        assert_eq!(trail[0].cut, Cut::bottom(2));
+        assert_eq!(trail[4].cut, Cut::from_counts(vec![2, 2]));
         // The y=1-while-z=0 state is on the trail.
-        assert!(trail
-            .iter()
-            .any(|(c, _)| *c == Cut::from_counts(vec![2, 0])));
+        assert!(trail.iter().any(|s| s.cut == Cut::from_counts(vec![2, 0])));
+        // Each step names the thread and the write that reached it.
+        for w in trail.windows(2) {
+            let t = w[0].cut.advancing_thread(&w[1].cut).unwrap();
+            assert_eq!(w[1].thread, Some(t));
+            assert_eq!(w[1].message.as_ref().map(Message::thread), Some(t));
+        }
 
         // Without history the trail is just the step into the violation.
         let (msgs2, monitor2, init2) = fig6_setup();
@@ -1023,7 +1156,10 @@ mod tests {
         let report = s.finish();
         let trail = &report.violations[0].trail;
         assert_eq!(trail.len(), 2, "{trail:?}");
-        assert_eq!(trail[1].0, Cut::from_counts(vec![2, 2]));
+        assert_eq!(trail[1].cut, Cut::from_counts(vec![2, 2]));
+        // A truncated trail still says how its first state was reached.
+        assert!(!report.violations[0].is_full_run());
+        assert_eq!(report.violations[0].event_count(), 2);
     }
 
     #[test]
@@ -1045,6 +1181,8 @@ mod tests {
         let report = s.finish();
         assert_eq!(report.violations.len(), 1);
         assert_eq!(report.violations[0].cut, Cut::bottom(1));
+        assert!(report.violations[0].is_full_run());
+        assert_eq!((report.total_runs, report.violating_runs), (1, 1));
     }
 
     #[test]
@@ -1156,6 +1294,11 @@ mod tests {
                 report.satisfied(),
                 full.satisfied(),
                 "seed {seed}: verdict mismatch"
+            );
+            assert_eq!(
+                (report.total_runs, report.violating_runs),
+                (full.total_runs, full.violating_runs),
+                "seed {seed}: run count mismatch"
             );
         }
     }

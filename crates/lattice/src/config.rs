@@ -1,25 +1,14 @@
 //! The one configuration type shared by every analysis entrypoint.
 //!
-//! Three PRs of feature work left each knob on its own constructor:
-//! counterexample budgets on [`crate::analysis::analyze_lattice`],
-//! beam pruning on
-//! [`crate::StreamingAnalyzer::with_frontier_cap`], trail history on
-//! [`crate::StreamingAnalyzer::with_history`]. Adding a parallelism knob
-//! the same way would have made the combinatorial API worse, so all of
-//! them now live here: [`AnalysisConfig`] configures the full-lattice
-//! analysis ([`crate::analysis::analyze_lattice`] /
-//! [`crate::Lattice::build_with`]) and the streaming analyzer
-//! ([`crate::StreamingAnalyzer::with_config`]) alike, and downstream
+//! Every knob of the streaming analyzer — beam pruning, trail history,
+//! parallelism, the step cache — lives here: [`AnalysisConfig`]
+//! configures [`crate::StreamingAnalyzer::with_config`], and downstream
 //! crates (observer pipeline, CLI) thread it through unchanged.
 
-/// Knobs for lattice construction and predictive analysis, shared by the
-/// full-lattice and streaming paths. The default is the exact, sequential,
-/// two-level configuration the paper describes.
+/// Knobs for predictive analysis. The default is the exact, sequential
+/// configuration the paper describes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AnalysisConfig {
-    /// Reconstruct at most this many full counterexample runs (violation
-    /// summaries are always reported). Full-lattice analysis only.
-    pub max_counterexamples: usize,
     /// Worker threads for frontier expansion. `0` and `1` both mean
     /// sequential; `n ≥ 2` shards each level's cuts by hash across at most
     /// `n` workers. Results are bit-identical to the sequential path for
@@ -30,9 +19,12 @@ pub struct AnalysisConfig {
     /// cuts in lexicographic order and the verdict degrades to
     /// [`crate::Exactness::Degraded`].
     pub frontier_cap: usize,
-    /// Retired streaming levels kept for violation trails; `0` is the
-    /// paper's pure two-level mode.
-    pub history: usize,
+    /// Retired levels kept for violation trails; `Some(0)` is the paper's
+    /// pure two-level mode and `Some(usize::MAX)` keeps every level, so
+    /// every trail is a full counterexample run. `None` (the default)
+    /// lets the entry point choose: streams keep two levels, checks of a
+    /// finite recorded execution keep every level.
+    pub history: Option<usize>,
     /// Minimum cuts per worker before a level engages the parallel path
     /// (`0` means the default, [`DEFAULT_SHARD_GRANULARITY`]). Narrower
     /// levels expand sequentially: below this width the channel traffic of
@@ -54,10 +46,9 @@ pub const DEFAULT_SHARD_GRANULARITY: usize = 32;
 impl Default for AnalysisConfig {
     fn default() -> Self {
         Self {
-            max_counterexamples: 16,
             parallelism: 1,
             frontier_cap: 0,
-            history: 0,
+            history: None,
             shard_granularity: DEFAULT_SHARD_GRANULARITY,
             eval_cache: true,
         }
@@ -65,13 +56,6 @@ impl Default for AnalysisConfig {
 }
 
 impl AnalysisConfig {
-    /// Sets the counterexample reconstruction budget.
-    #[must_use]
-    pub fn with_max_counterexamples(mut self, n: usize) -> Self {
-        self.max_counterexamples = n;
-        self
-    }
-
     /// Sets the frontier-expansion worker count (`0`/`1` = sequential).
     #[must_use]
     pub fn with_parallelism(mut self, workers: usize) -> Self {
@@ -86,10 +70,10 @@ impl AnalysisConfig {
         self
     }
 
-    /// Sets how many retired levels the streaming analyzer retains.
+    /// Sets how many retired levels the analyzer retains.
     #[must_use]
     pub fn with_history(mut self, levels: usize) -> Self {
-        self.history = levels;
+        self.history = Some(levels);
         self
     }
 
@@ -139,8 +123,7 @@ mod tests {
         let c = AnalysisConfig::default();
         assert_eq!(c.parallelism, 1);
         assert_eq!(c.frontier_cap, 0);
-        assert_eq!(c.history, 0);
-        assert_eq!(c.max_counterexamples, 16);
+        assert_eq!(c.history, None);
         assert_eq!(c.shard_granularity, DEFAULT_SHARD_GRANULARITY);
         assert!(c.eval_cache);
         assert_eq!(c.workers(), 1);
@@ -153,14 +136,12 @@ mod tests {
             .with_frontier_cap(64)
             .with_history(2)
             .with_shard_granularity(16)
-            .with_eval_cache(false)
-            .with_max_counterexamples(0);
+            .with_eval_cache(false);
         assert_eq!(c.parallelism, 8);
         assert_eq!(c.frontier_cap, 64);
-        assert_eq!(c.history, 2);
+        assert_eq!(c.history, Some(2));
         assert_eq!(c.shard_granularity, 16);
         assert!(!c.eval_cache);
-        assert_eq!(c.max_counterexamples, 0);
     }
 
     #[test]

@@ -30,18 +30,21 @@
 //! its chunk's walk order, and each shard concatenates its buckets in
 //! ascending chunk index — reproducing exactly that global order no
 //! matter which worker stole which chunk. Monitor memories are stepped in
-//! sorted order on both paths, and the step cache memoizes a pure
-//! function, so it can only collapse work, never change a result. Every
+//! sorted order on both paths ([`FrontierNode::absorb`] is the one
+//! stepping routine), and the step cache memoizes a pure function, so it
+//! can only collapse work, never change a result. Run counts are
+//! saturating sums, which do not depend on the order of addition. Every
 //! output is therefore bit-identical to the sequential path regardless of
 //! worker count or steal schedule: new-node states (first contribution
 //! wins, and "first" is a total order, not hash-map luck), alive/dead
-//! memory sets, trail parents, violation seeds, and all logical counters.
+//! memory sets and their run counts, trail parents, violation seeds, and
+//! all logical counters.
 //! Only the `lattice.parallel.*` metrics (steals, park times, shard
 //! widths) and the physical `spec.formula_evals` / `spec.eval_cache_hits`
 //! split reflect the schedule.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -49,7 +52,7 @@ use std::thread;
 use std::time::Instant;
 
 use jmpax_core::{Message, ThreadId, Value, VarId};
-use jmpax_spec::{Monitor, MonitorState, StepCache};
+use jmpax_spec::{Monitor, StepCache};
 use jmpax_telemetry::Counter;
 use jmpax_trace::{TraceKind, TraceRing};
 
@@ -409,7 +412,6 @@ fn run_shard(task: ShardTask, park_ns: u64) {
     let mut deduped = 0u64;
     let mut evals = 0u64;
     let mut non_writes = 0u64;
-    let mut mems_sorted: Vec<MonitorState> = Vec::new();
     let mut cache = shared
         .eval_cache
         .then(|| StepCache::with_counter(shared.cache_hits.clone()));
@@ -419,7 +421,7 @@ fn run_shard(task: ShardTask, park_ns: u64) {
             if c.update.is_none() {
                 non_writes += 1;
             }
-            let entry = match next.entry(c.succ.clone()) {
+            let succ = match next.entry(c.succ.clone()) {
                 Entry::Occupied(e) => {
                     deduped += 1;
                     e.into_mut()
@@ -430,52 +432,22 @@ fn run_shard(task: ShardTask, park_ns: u64) {
                     // the node's state; later edges reuse it. States are
                     // uniquely determined by the cut, so this is the same
                     // value every other parent would compute.
-                    let state = match c.update {
+                    e.insert(FrontierNode::new(match c.update {
                         Some((var, value)) => src_node.state.updated(var, value),
                         None => src_node.state.clone(),
-                    };
-                    e.insert(FrontierNode {
-                        state,
-                        mems: HashSet::new(),
-                        dead: HashSet::new(),
-                        parents: HashMap::new(),
-                    })
+                    }))
                 }
             };
-            let FrontierNode {
-                state,
-                mems,
-                dead,
-                parents,
-            } = entry;
-            mems_sorted.clear();
-            mems_sorted.extend(src_node.mems.iter().copied());
-            mems_sorted.sort_unstable();
-            for &mem in &mems_sorted {
-                let (next_mem, ok) = match cache.as_mut() {
-                    Some(cache) => shared.monitor.step_cached(mem, state, cache),
-                    None => shared.monitor.step(mem, state),
-                };
-                evals += 1;
-                if ring.is_enabled() {
-                    ring.record(TraceKind::PropertyEvaluated {
-                        level: shared.level,
-                        violated: !ok,
-                    });
-                }
-                if ok {
-                    if mems.insert(next_mem) {
-                        parents.insert(next_mem, (src_cut.clone(), mem));
-                    }
-                } else if dead.insert(next_mem) {
-                    seeds.push(ViolationSeed {
-                        cut: c.succ.clone(),
-                        state: state.clone(),
-                        memory: next_mem,
-                        pred: (src_cut.clone(), mem),
-                    });
-                }
-            }
+            evals += succ.absorb(
+                &c.succ,
+                src_cut,
+                src_node,
+                &shared.monitor,
+                cache.as_mut(),
+                &mut ring,
+                shared.level,
+                &mut seeds,
+            );
         }
     }
     let merge_ns = elapsed_ns(merge_start);

@@ -2,11 +2,12 @@
 //! number of multithreaded runs equals the number of **linear extensions**
 //! of the relevant causality (counted by brute-force permutation
 //! enumeration), and the set of lattice states equals the set of prefixes
-//! of those linear extensions (as cuts).
+//! of those linear extensions (as cuts). The streaming engine's run
+//! counts are checked against the same enumeration.
 
 use jmpax_core::{Event, Message, MvcInstrumentor, Relevance, ThreadId, VarId};
-use jmpax_lattice::{Cut, Lattice, LatticeInput};
-use jmpax_spec::ProgramState;
+use jmpax_lattice::{Cut, Lattice, LatticeInput, StreamReport, StreamingAnalyzer};
+use jmpax_spec::{Monitor, ProgramState};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -64,6 +65,18 @@ fn linear_extensions(msgs: &[Message]) -> (u128, HashSet<Cut>) {
     (count, cuts)
 }
 
+/// The streaming engine's report over in-order `msgs`.
+fn stream(monitor: Monitor, msgs: &[Message]) -> StreamReport {
+    let threads = msgs
+        .iter()
+        .map(|m| m.thread().index() + 1)
+        .max()
+        .unwrap_or(1);
+    let mut s = StreamingAnalyzer::new(monitor, &ProgramState::new(), threads);
+    s.push_all(msgs.iter().cloned());
+    s.finish()
+}
+
 fn arb_events() -> impl Strategy<Value = Vec<Event>> {
     // Small: brute force is factorial. ≤ 7 relevant writes.
     prop::collection::vec((0..3u32, 0..3u32, 0..4u8), 0..10).prop_map(|ops| {
@@ -95,6 +108,11 @@ proptest! {
         let threads = msgs.iter().map(|m| m.thread().index() + 1).max().unwrap_or(0);
         let (expected_runs, expected_cuts) = linear_extensions(&msgs);
 
+        let trivial = jmpax_spec::parse("true", &mut jmpax_core::SymbolTable::new())
+            .unwrap()
+            .monitor()
+            .unwrap();
+        let streamed = stream(trivial, &msgs);
         let input = LatticeInput::from_messages(msgs, ProgramState::new()).unwrap();
         let lattice = Lattice::build(input);
 
@@ -102,6 +120,11 @@ proptest! {
             lattice.count_runs(),
             expected_runs,
             "run count != linear extension count"
+        );
+        prop_assert_eq!(
+            (streamed.total_runs, streamed.violating_runs),
+            (expected_runs, 0),
+            "streaming run count != linear extension count"
         );
         // Node set == prefix cut set (normalize: lattice cuts may have a
         // different thread count when trailing threads emitted nothing).
@@ -154,6 +177,7 @@ proptest! {
         let formula = parse("v0 <= 4 \\/ [*] v1 <= v2", &mut syms).unwrap();
         let monitor = formula.monitor().unwrap();
 
+        let streamed = stream(monitor.clone(), &msgs);
         let input = LatticeInput::from_messages(msgs, ProgramState::new()).unwrap();
         let lattice = Lattice::build(input.clone());
         let total = lattice.count_runs();
@@ -174,6 +198,52 @@ proptest! {
             analysis.violating_runs, violating,
             "exact violating-run count diverged from enumeration"
         );
+        prop_assert_eq!(
+            (streamed.total_runs, streamed.violating_runs),
+            (total, violating),
+            "streaming run counts diverged from enumeration"
+        );
+    }
+}
+
+/// Two threads writing 70 private values each have C(140, 70) ≈ 9.4e40
+/// runs, past `u128::MAX`: every count saturates instead of wrapping (or
+/// panicking on overflow), and the violating count is counted directly,
+/// not derived from the saturated total.
+#[test]
+fn run_counts_saturate_past_u128() {
+    let mut instr = MvcInstrumentor::with_relevance(Relevance::AllWrites);
+    let msgs: Vec<Message> = (1..=70)
+        .flat_map(|v| [(0, v), (1, v)])
+        .filter_map(|(t, v)| instr.process(&Event::write(ThreadId(t), VarId(t), v)))
+        .collect();
+    let mut syms = jmpax_core::SymbolTable::new();
+    for name in ["a", "b"] {
+        syms.intern(name);
+    }
+    // The middle spec fails on exactly one run (all of `a` before any `b`):
+    // total − satisfying would give 0 once both saturate.
+    for (spec, violating) in [
+        ("a >= 0 /\\ b >= 0", 0),
+        ("!(a = 70 /\\ b = 0)", 1),
+        ("a < 70", u128::MAX),
+    ] {
+        let monitor = jmpax_spec::parse(spec, &mut syms)
+            .unwrap()
+            .monitor()
+            .unwrap();
+        let input = LatticeInput::from_messages(msgs.clone(), ProgramState::new()).unwrap();
+        let lattice = Lattice::build(input);
+        assert_eq!(lattice.node_count(), 71 * 71);
+        assert_eq!(lattice.count_runs(), u128::MAX);
+        let full = jmpax_lattice::analysis::analyze_lattice(&lattice, &monitor);
+        let streamed = stream(monitor, &msgs);
+        for (total, bad) in [
+            (full.total_runs, full.violating_runs),
+            (streamed.total_runs, streamed.violating_runs),
+        ] {
+            assert_eq!((total, bad), (u128::MAX, violating), "{spec}");
+        }
     }
 }
 

@@ -9,7 +9,6 @@
 
 use jmpax_core::{Event, Message, MvcInstrumentor, Relevance, SymbolTable, ThreadId, VarId};
 use jmpax_lattice::analysis::{analyze_lattice, LatticeAnalysis};
-use jmpax_lattice::AnalysisConfig;
 use jmpax_lattice::{Lattice, LatticeInput, Reassembler};
 use jmpax_spec::{parse, Monitor, ProgramState};
 use proptest::prelude::*;
@@ -52,7 +51,7 @@ fn monitor_and_initial(vars: usize) -> (Monitor, ProgramState, SymbolTable) {
 fn analyze(messages: Vec<Message>, initial: ProgramState, monitor: &Monitor) -> LatticeAnalysis {
     let input = LatticeInput::from_messages(messages, initial).expect("valid input");
     let lattice = Lattice::build(input);
-    analyze_lattice(&lattice, monitor, AnalysisConfig::default())
+    analyze_lattice(&lattice, monitor)
 }
 
 proptest! {
@@ -109,6 +108,5 @@ proptest! {
         prop_assert_eq!(scrambled_analysis.states, baseline.states);
         prop_assert_eq!(scrambled_analysis.levels, baseline.levels);
         prop_assert_eq!(scrambled_analysis.violations.len(), baseline.violations.len());
-        prop_assert!(scrambled_analysis.exactness.is_exact());
     }
 }

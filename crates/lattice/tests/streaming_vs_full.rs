@@ -1,6 +1,7 @@
-//! Equivalence of the two-level streaming analyzer with the full lattice
-//! analysis: same states, same satisfied/violated verdicts, and the same
-//! set of `(cut, memory)` violation points — on random computations and
+//! Equivalence of the streaming analyzer with the full lattice analysis:
+//! same states, levels and level width, same total and violating run
+//! counts, the same set of `(cut, memory)` violation points, and every
+//! violation's run a valid violating run — on random computations and
 //! properties, regardless of delivery order.
 
 use std::collections::HashSet;
@@ -8,9 +9,8 @@ use std::collections::HashSet;
 use jmpax_core::gen::{random_execution, RandomExecutionConfig};
 use jmpax_core::{Relevance, SymbolTable, VarId};
 use jmpax_lattice::analysis::analyze_lattice;
-use jmpax_lattice::AnalysisConfig;
-use jmpax_lattice::{Cut, Lattice, LatticeInput, StreamingAnalyzer};
-use jmpax_spec::{parse, MonitorState, ProgramState};
+use jmpax_lattice::{Cut, Lattice, LatticeInput, StreamingAnalyzer, Violation};
+use jmpax_spec::{parse, Monitor, MonitorState, ProgramState};
 use rand::seq::SliceRandom;
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -21,6 +21,39 @@ const SPECS: &[&str] = &[
     "[v0 = 1, v1 > v2)",
     "v0 = 0 S v1 = 0",
 ];
+
+/// Asserts that `v.trail` is a whole run from `initial` that violates the
+/// property exactly at its last step: consecutive cuts differ by one
+/// thread, replaying each step's write reproduces its state, and the
+/// monitor fails at the last step and nowhere before.
+fn assert_valid_run(v: &Violation, monitor: &Monitor, initial: &ProgramState, what: &str) {
+    assert!(v.is_full_run(), "{what}: not a full run");
+    let first = &v.trail[0];
+    assert_eq!(first.cut.level(), 0, "{what}: run starts above the bottom");
+    assert_eq!(&first.state, initial, "{what}");
+    let (mut mem, mut ok) = monitor.initial(&first.state);
+    for w in v.trail.windows(2) {
+        assert!(ok, "{what}: the monitor failed before the last step");
+        let (prev, step) = (&w[0], &w[1]);
+        let thread = prev.cut.advancing_thread(&step.cut);
+        assert!(
+            thread.is_some(),
+            "{what}: {} -> {} is not one step",
+            prev.cut,
+            step.cut
+        );
+        assert_eq!(step.thread, thread, "{what}");
+        let msg = step.message.as_ref().expect("a step consumes a message");
+        assert_eq!(Some(msg.thread()), thread, "{what}");
+        let (var, value) = msg.var().zip(msg.written_value()).expect("a write");
+        assert_eq!(step.state, prev.state.updated(var, value), "{what}: state");
+        (mem, ok) = monitor.step(mem, &step.state);
+    }
+    assert!(!ok, "{what}: the monitor does not fail at the last step");
+    assert_eq!(mem, v.memory, "{what}");
+    let last = v.trail.last().expect("non-empty trail");
+    assert_eq!((&last.cut, &last.state), (&v.cut, &v.state), "{what}");
+}
 
 #[test]
 fn streaming_matches_full_on_random_computations_and_specs() {
@@ -46,7 +79,7 @@ fn streaming_matches_full_on_random_computations_and_specs() {
 
             let input = LatticeInput::from_messages(msgs.clone(), initial.clone()).unwrap();
             let lattice = Lattice::build(input);
-            let full = analyze_lattice(&lattice, &monitor, AnalysisConfig::default());
+            let full = analyze_lattice(&lattice, &monitor);
             let full_points: HashSet<(Cut, MonitorState)> = full
                 .violations
                 .iter()
@@ -56,7 +89,8 @@ fn streaming_matches_full_on_random_computations_and_specs() {
             // Streaming, with a shuffled delivery order.
             let mut shuffled = msgs.clone();
             shuffled.shuffle(&mut shuffler);
-            let mut s = StreamingAnalyzer::new(monitor, &initial, 3);
+            let mut s =
+                StreamingAnalyzer::new(monitor.clone(), &initial, 3).with_history(usize::MAX);
             s.push_all(shuffled);
             let report = s.finish();
             assert!(report.completed, "seed {seed} spec `{spec}`");
@@ -64,6 +98,29 @@ fn streaming_matches_full_on_random_computations_and_specs() {
                 report.states_explored as usize, full.states,
                 "seed {seed} spec `{spec}`: states"
             );
+            assert_eq!(
+                (report.levels(), report.peak_frontier),
+                (full.levels, full.max_level_width),
+                "seed {seed} spec `{spec}`: levels"
+            );
+            assert_eq!(
+                (report.total_runs, report.violating_runs),
+                (full.total_runs, full.violating_runs),
+                "seed {seed} spec `{spec}`: run counts"
+            );
+            for (engine, violations) in [
+                ("streaming", &report.violations),
+                ("full", &full.violations),
+            ] {
+                for v in violations {
+                    assert_valid_run(
+                        v,
+                        &monitor,
+                        &initial,
+                        &format!("seed {seed} spec `{spec}` {engine}"),
+                    );
+                }
+            }
             let stream_points: HashSet<(Cut, MonitorState)> = report
                 .violations
                 .iter()

@@ -7,9 +7,11 @@
 //! user's safety property against **every** consistent run, predicting
 //! violations that the observed execution itself did not exhibit.
 //!
-//! * [`observer`] — the message-consuming front end and verdicts.
 //! * [`pipeline`] — one-call end-to-end analyses for recorded executions,
-//!   instrumented sessions and raw frame bytes.
+//!   instrumented sessions and raw frame bytes, all run by the streaming
+//!   analysis suite.
+//! * [`observer`] — the conclusion over a recorded message stream: the
+//!   predictive verdict plus the observed-run check.
 //! * [`jpax`] — the single-trace baseline (what JPaX / Java-MaC can see):
 //!   monitors only the observed run.
 //! * [`liveness`] — the Section 4 sketch: detect `u vω` lassos in the
@@ -26,7 +28,8 @@ pub mod live;
 pub mod liveness;
 pub mod observer;
 pub mod pipeline;
-pub mod races;
+#[cfg(test)]
+mod races;
 pub mod report;
 pub mod serve;
 pub mod verdict;
@@ -35,18 +38,12 @@ pub use deadlock::{predict_deadlocks, DeadlockCycle, DeadlockDetector, LockEdge}
 pub use jpax::observed_violation;
 pub use live::LiveObserver;
 pub use liveness::{check_lasso, find_lassos, Lasso, Ltl};
-pub use observer::{Observer, Verdict};
-pub use pipeline::{
-    check_frames, Pipeline, PipelineConfig, PipelineError, PipelineOutcome, PipelineReport,
-    ResilienceSummary,
-};
-pub use races::{detect_races, Race, RaceDetector};
+pub use observer::PipelineReport;
+pub use pipeline::{check_frames, Pipeline, PipelineConfig, PipelineError, ResilienceSummary};
+pub use report::{render_analysis, render_counterexample, render_deadlocks, render_violation};
 pub use serve::{
     AnalysisOutcome, FileLogSink, FlightDump, FlightEntry, FlightKind, FlightRecorder, LogLevel,
     LogSink, LogValue, MemoryLogSink, OpsLog, ServeConfig, ServeObservability, ServeSummary,
     Server, ServerHandle, ShedPolicy, StderrLogSink, TenantOutcome, TenantStatus, TenantTable,
 };
 pub use verdict::ExactnessVerdict;
-pub use report::{
-    render_analysis, render_counterexample, render_deadlocks, render_races, render_violation,
-};

@@ -1,180 +1,120 @@
-//! The message-consuming observer front end.
+//! The observer's conclusion over a finite recorded message stream.
+//!
+//! Every recorded-execution entry point —
+//! [`crate::Pipeline::check_execution`], [`crate::Pipeline::check_messages`]
+//! and [`crate::check_frames`] — ends here: one streaming pass of the
+//! analysis suite over the messages (in any order; the suite's causal
+//! buffer repairs it), with every lattice level retained so violations
+//! carry full counterexample runs, plus the JPaX-style check of the
+//! observed run that tells a *predicted* violation from an observed one.
 
-use jmpax_core::{CausalBuffer, Message};
-use jmpax_lattice::analysis::{analyze_lattice, LatticeAnalysis};
-use jmpax_lattice::{AnalysisConfig, Exactness, Lattice, LatticeInput, StreamingAnalyzer};
+use jmpax_core::{Message, Relevance};
+use jmpax_lattice::{Exactness, StreamReport};
 use jmpax_spec::{Monitor, ProgramState};
+use jmpax_trace::{TraceKind, TraceRing};
 
-/// The observer's conclusion about one multithreaded computation.
+use crate::pipeline::Pipeline;
+
+/// The end-to-end result of checking a recorded execution.
 #[derive(Clone, Debug)]
-pub enum Verdict {
-    /// Every consistent run satisfies the property.
-    Satisfied(LatticeAnalysis),
-    /// Some runs violate the property. When `observed_ok` is true the
-    /// violation is a *prediction*: the observed run itself was successful
-    /// (this is the paper's headline capability).
-    Violated {
-        /// The full analysis (counts, violations, counterexamples).
-        analysis: LatticeAnalysis,
-        /// Whether the observed run itself satisfied the property.
-        observed_ok: bool,
-    },
+pub struct PipelineReport {
+    /// The predictive analysis over every consistent run: run counts,
+    /// violations and their counterexample runs, exactness.
+    pub analysis: StreamReport,
+    /// Index of the first violating state on the *observed* run (what a
+    /// JPaX-style single-trace monitor reports), if any.
+    pub observed_violation: Option<usize>,
+    /// Messages emitted by the instrumentation (for further analysis).
+    pub messages: Vec<Message>,
+    /// The relevance policy derived from the specification.
+    pub relevance: Relevance,
 }
 
-impl Verdict {
-    /// The underlying analysis.
+impl PipelineReport {
+    /// Shorthand: predictive analysis found violating runs.
     #[must_use]
-    pub fn analysis(&self) -> &LatticeAnalysis {
-        match self {
-            Verdict::Satisfied(a) | Verdict::Violated { analysis: a, .. } => a,
-        }
+    pub fn predicted(&self) -> bool {
+        !self.analysis.satisfied()
     }
 
-    /// True when no run violates.
+    /// Shorthand: the observed run itself violated.
     #[must_use]
-    pub fn is_satisfied(&self) -> bool {
-        matches!(self, Verdict::Satisfied(_))
+    pub fn observed(&self) -> bool {
+        self.observed_violation.is_some()
     }
 
-    /// True when the violation was predicted from a successful run.
+    /// True when the violation was predicted from a successful observed
+    /// run — the paper's headline capability.
     #[must_use]
     pub fn is_prediction(&self) -> bool {
-        matches!(
-            self,
-            Verdict::Violated {
-                observed_ok: true,
-                ..
-            }
-        )
+        self.predicted() && !self.observed()
     }
 
-    /// The underlying analysis, mutably — used by resilient ingestion to
-    /// thread transport-fault degradation into the verdict.
-    #[must_use]
-    pub fn analysis_mut(&mut self) -> &mut LatticeAnalysis {
-        match self {
-            Verdict::Satisfied(a) | Verdict::Violated { analysis: a, .. } => a,
-        }
-    }
-
-    /// How much this verdict can be trusted: [`Exactness::Exact`] when every
+    /// How much the verdict can be trusted: [`Exactness::Exact`] when every
     /// message arrived and every run was explored, degraded otherwise.
     #[must_use]
     pub fn exactness(&self) -> Exactness {
-        self.analysis().exactness
+        self.analysis.exactness
     }
 }
 
-/// The observer: buffers out-of-order messages, tracks the observed
-/// delivery order, and produces a [`Verdict`] on demand.
-///
-/// For unbounded streams prefer [`StreamingAnalyzer`] (two-level storage);
-/// this observer materializes the full lattice to reconstruct complete
-/// counterexample runs.
-#[derive(Debug)]
-pub struct Observer {
+/// Checks `monitor` against every run of the recorded `messages` and
+/// against the observed run (the messages' order), folding `transport`
+/// losses into the verdict. Records the `jpax` and `analysis` stages on
+/// `ring` and in the pipeline's registry.
+pub(crate) fn conclude(
+    pipeline: &Pipeline,
     monitor: Monitor,
     initial: ProgramState,
-    buffer: CausalBuffer,
-    /// Messages in causal delivery order (a valid observed run order).
-    delivered: Vec<Message>,
-    options: AnalysisConfig,
-}
+    messages: Vec<Message>,
+    relevance: Relevance,
+    transport: Exactness,
+    ring: &mut TraceRing,
+) -> PipelineReport {
+    let registry = pipeline.registry();
+    let jpax_start = ring.span_start();
+    let observed_violation = {
+        let _span = registry.histogram("observer.stage.jpax_ns").start_span();
+        crate::jpax::observed_violation(&monitor, &initial, &messages)
+    };
+    ring.record_span(TraceKind::Stage { name: "jpax" }, jpax_start);
 
-impl Observer {
-    /// Creates an observer for `monitor` starting from `initial`.
-    #[must_use]
-    pub fn new(monitor: Monitor, initial: ProgramState) -> Self {
-        Self::with_options(monitor, initial, AnalysisConfig::default())
-    }
-
-    /// Creates an observer with an explicit [`AnalysisConfig`]
-    /// (counterexample budget, lattice-build parallelism).
-    #[must_use]
-    pub fn with_options(monitor: Monitor, initial: ProgramState, options: AnalysisConfig) -> Self {
-        Self {
+    let analysis_start = ring.span_start();
+    let threads = messages
+        .iter()
+        .map(|m| m.thread().index() + 1)
+        .max()
+        .unwrap_or(1);
+    let analysis = {
+        let _span = registry
+            .histogram("observer.stage.analysis_ns")
+            .start_span();
+        pipeline.ltl_pass(
             monitor,
-            initial,
-            buffer: CausalBuffer::new(),
-            delivered: Vec::new(),
-            options,
-        }
+            &initial,
+            threads,
+            transport,
+            messages.iter().cloned(),
+            &pipeline.recorded_config(),
+        )
+    };
+    ring.record_span(TraceKind::Stage { name: "analysis" }, analysis_start);
+
+    if observed_violation.is_some() {
+        registry.counter("observer.verdict.observed").inc();
     }
-
-    /// Limits counterexample reconstruction.
-    #[must_use]
-    pub fn with_max_counterexamples(mut self, n: usize) -> Self {
-        self.options.max_counterexamples = n;
-        self
-    }
-
-    /// Offers one message (any delivery order).
-    pub fn offer(&mut self, message: Message) {
-        self.delivered.extend(self.buffer.push(message));
-    }
-
-    /// Offers many messages.
-    pub fn offer_all(&mut self, messages: impl IntoIterator<Item = Message>) {
-        for m in messages {
-            self.offer(m);
-        }
-    }
-
-    /// Messages delivered (causally ordered) so far.
-    #[must_use]
-    pub fn delivered(&self) -> &[Message] {
-        &self.delivered
-    }
-
-    /// True when some received messages still wait for causal predecessors
-    /// (the computation is incomplete).
-    #[must_use]
-    pub fn has_gaps(&self) -> bool {
-        !self.buffer.is_drained()
-    }
-
-    /// Concludes the analysis over everything delivered so far.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`jmpax_lattice::InputError`] (impossible for messages
-    /// produced by Algorithm A with a writes-only relevance policy).
-    pub fn conclude(&self) -> Result<Verdict, jmpax_lattice::InputError> {
-        let input =
-            LatticeInput::from_messages(self.delivered.iter().cloned(), self.initial.clone())?;
-        let lattice = Lattice::build_with(input, &self.options);
-        let analysis = analyze_lattice(&lattice, &self.monitor, self.options);
-
-        // The delivery order is one causally consistent run — check it the
-        // JPaX way to classify the verdict as observed vs predicted.
-        let observed_ok =
-            crate::jpax::observed_violation(&self.monitor, &self.initial, &self.delivered)
-                .is_none();
-
-        if analysis.satisfied() {
-            Ok(Verdict::Satisfied(analysis))
-        } else {
-            Ok(Verdict::Violated {
-                analysis,
-                observed_ok,
-            })
-        }
-    }
-
-    /// Converts this observer into a two-level streaming analyzer seeded
-    /// with the same monitor/initial state, for unbounded computations.
-    #[must_use]
-    pub fn into_streaming(self, threads: usize) -> StreamingAnalyzer {
-        let mut s = StreamingAnalyzer::new(self.monitor, &self.initial, threads);
-        s.push_all(self.delivered);
-        s
+    PipelineReport {
+        analysis,
+        observed_violation,
+        messages,
+        relevance,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jmpax_core::{Event, MvcInstrumentor, Relevance, SymbolTable, ThreadId};
+    use jmpax_core::{Event, MvcInstrumentor, SymbolTable, ThreadId};
     use jmpax_spec::parse;
 
     const T1: ThreadId = ThreadId(0);
@@ -206,42 +146,43 @@ mod tests {
         (msgs, monitor, init)
     }
 
+    fn check(msgs: Vec<Message>, monitor: Monitor, init: ProgramState) -> PipelineReport {
+        Pipeline::default().check_messages(monitor, init, msgs)
+    }
+
     #[test]
     fn predicts_from_successful_observed_run() {
         let (msgs, monitor, init) = fig6();
-        let mut obs = Observer::new(monitor, init);
-        obs.offer_all(msgs);
-        assert!(!obs.has_gaps());
-        let verdict = obs.conclude().unwrap();
-        assert!(!verdict.is_satisfied());
-        assert!(verdict.is_prediction(), "observed run was successful");
-        assert_eq!(verdict.analysis().violating_runs, 1);
-        assert_eq!(verdict.analysis().total_runs, 3);
+        let report = check(msgs, monitor, init);
+        assert!(report.predicted());
+        assert!(report.is_prediction(), "observed run was successful");
+        assert_eq!(report.analysis.violating_runs, 1);
+        assert_eq!(report.analysis.total_runs, 3);
+        // A recorded execution keeps every level: the run is complete.
+        let v = &report.analysis.violations[0];
+        assert!(v.is_full_run());
+        assert_eq!(v.event_count(), 4);
     }
 
     #[test]
     fn out_of_order_delivery_same_verdict() {
         let (mut msgs, monitor, init) = fig6();
         msgs.reverse();
-        let mut obs = Observer::new(monitor, init);
-        for m in msgs {
-            obs.offer(m);
-        }
-        let verdict = obs.conclude().unwrap();
-        assert_eq!(verdict.analysis().violating_runs, 1);
+        let report = check(msgs, monitor, init);
+        assert_eq!(report.analysis.violating_runs, 1);
+        assert!(report.exactness().is_exact());
     }
 
     #[test]
     fn gaps_are_visible() {
         let (msgs, monitor, init) = fig6();
-        let mut obs = Observer::new(monitor, init);
-        // Deliver only the causally-last message.
-        obs.offer(msgs[3].clone());
-        assert!(obs.has_gaps());
-        assert!(obs.delivered().is_empty());
-        // Concluding now analyzes the empty computation: one trivial run.
-        let verdict = obs.conclude().unwrap();
-        assert!(verdict.is_satisfied());
+        // Deliver only the causally-last message: it can never be placed,
+        // so the empty computation is analyzed — one trivial run — and the
+        // verdict says a message was lost.
+        let report = check(vec![msgs[3].clone()], monitor, init);
+        assert!(!report.predicted());
+        assert_eq!(report.analysis.total_runs, 1);
+        assert_eq!(report.exactness().losses(), (0, 1));
     }
 
     #[test]
@@ -251,11 +192,9 @@ mod tests {
         let x = syms.lookup("x").unwrap();
         let mut a = MvcInstrumentor::new(1, Relevance::writes_of([x]));
         let m = a.process(&Event::write(T1, x, 5)).unwrap();
-        let mut obs = Observer::new(monitor, ProgramState::new());
-        obs.offer(m);
-        let verdict = obs.conclude().unwrap();
-        assert!(verdict.is_satisfied());
-        assert!(!verdict.is_prediction());
+        let report = check(vec![m], monitor, ProgramState::new());
+        assert!(!report.predicted());
+        assert!(!report.is_prediction());
     }
 
     #[test]
@@ -266,20 +205,9 @@ mod tests {
         let x = syms.lookup("x").unwrap();
         let mut a = MvcInstrumentor::new(1, Relevance::writes_of([x]));
         let m = a.process(&Event::write(T1, x, 5)).unwrap();
-        let mut obs = Observer::new(monitor, ProgramState::new());
-        obs.offer(m);
-        let verdict = obs.conclude().unwrap();
-        assert!(!verdict.is_satisfied());
-        assert!(!verdict.is_prediction());
-    }
-
-    #[test]
-    fn into_streaming_continues_the_analysis() {
-        let (msgs, monitor, init) = fig6();
-        let mut obs = Observer::new(monitor, init);
-        obs.offer_all(msgs);
-        let streaming = obs.into_streaming(2);
-        let report = streaming.finish();
-        assert_eq!(report.violations.len(), 1);
+        let report = check(vec![m], monitor, ProgramState::new());
+        assert!(report.predicted());
+        assert!(report.observed());
+        assert!(!report.is_prediction());
     }
 }

@@ -8,13 +8,15 @@
 //! observer, and return both the predictive verdict and the JPaX-style
 //! observed-run verdict.
 //!
-//! [`Pipeline::new`]`(`[`PipelineConfig`]`)` is the single entrypoint; the
+//! Every entry point runs the one analysis engine: the streaming
+//! [`jmpax_lattice::AnalysisSuite`] behind [`Pipeline::check_stream_suite`].
+//! [`Pipeline::new`]`(`[`PipelineConfig`]`)` configures it once; the
 //! config carries the optional telemetry [`Registry`], the optional
 //! [`Tracer`], and the [`AnalysisConfig`] knobs (parallelism, frontier
-//! cap, counterexample budget). When parallelism is enabled, the pipeline
-//! owns one persistent [`ExpansionPool`] shared by every analysis it runs —
-//! workers are spawned on first use and parked between levels and between
-//! calls, so repeated checks (e.g. `jmpax serve` tenant sessions) never pay
+//! cap, history). When parallelism is enabled, the pipeline owns one
+//! persistent [`ExpansionPool`] shared by every analysis it runs — workers
+//! are spawned on first use and parked between levels and between calls,
+//! so repeated checks (e.g. `jmpax serve` tenant sessions) never pay
 //! thread-spawn cost again.
 
 use std::collections::BTreeSet;
@@ -24,14 +26,14 @@ use std::sync::{Arc, OnceLock};
 use jmpax_core::{AnalysisKind, Execution, Message, Relevance, SymbolTable, VarId};
 use jmpax_instrument::{ResilientDecode, ResilientFrameDecoder};
 use jmpax_lattice::{
-    AnalysisConfig, AnalysisReport, Exactness, ExpansionPool, StreamReport, StreamingAnalyzer,
-    SuiteBuilder, SuiteReport,
+    AnalysisConfig, AnalysisReport, Exactness, ExpansionPool, StreamReport, SuiteBuilder,
+    SuiteReport,
 };
 use jmpax_spec::{parse, Monitor, ParseError, ProgramState};
 use jmpax_telemetry::Registry;
 use jmpax_trace::{TraceKind, TraceRing, Tracer};
 
-use crate::observer::{Observer, Verdict};
+use crate::observer::{conclude, PipelineReport};
 
 /// Pipeline failures.
 #[derive(Debug)]
@@ -40,8 +42,6 @@ pub enum PipelineError {
     Spec(ParseError),
     /// The monitor could not be synthesized (too many temporal operators).
     Monitor(jmpax_spec::monitor::MonitorError),
-    /// The message stream was malformed.
-    Input(jmpax_lattice::InputError),
 }
 
 impl fmt::Display for PipelineError {
@@ -49,7 +49,6 @@ impl fmt::Display for PipelineError {
         match self {
             PipelineError::Spec(e) => write!(f, "specification error: {e}"),
             PipelineError::Monitor(e) => write!(f, "monitor synthesis error: {e}"),
-            PipelineError::Input(e) => write!(f, "message stream error: {e}"),
         }
     }
 }
@@ -66,43 +65,10 @@ impl From<jmpax_spec::monitor::MonitorError> for PipelineError {
         PipelineError::Monitor(e)
     }
 }
-impl From<jmpax_lattice::InputError> for PipelineError {
-    fn from(e: jmpax_lattice::InputError) -> Self {
-        PipelineError::Input(e)
-    }
-}
-
-/// The end-to-end result.
-#[derive(Clone, Debug)]
-pub struct PipelineReport {
-    /// The predictive verdict over all consistent runs.
-    pub verdict: Verdict,
-    /// Index of the first violating state on the *observed* run (what a
-    /// JPaX-style single-trace monitor reports), if any.
-    pub observed_violation: Option<usize>,
-    /// Messages emitted by the instrumentation (for further analysis).
-    pub messages: Vec<Message>,
-    /// The relevance policy derived from the specification.
-    pub relevance: Relevance,
-}
-
-impl PipelineReport {
-    /// Shorthand: predictive analysis found violating runs.
-    #[must_use]
-    pub fn predicted(&self) -> bool {
-        !self.verdict.is_satisfied()
-    }
-
-    /// Shorthand: the observed run itself violated.
-    #[must_use]
-    pub fn observed(&self) -> bool {
-        self.observed_violation.is_some()
-    }
-}
 
 /// Configuration for [`Pipeline`]: observability sinks plus every analysis
 /// knob, in one place. The default is the plain, sequential, untelemetered
-/// pipeline the original `check_execution` ran.
+/// pipeline.
 #[derive(Clone, Debug, Default)]
 pub struct PipelineConfig {
     telemetry: Registry,
@@ -133,11 +99,9 @@ impl PipelineConfig {
 
     /// Records structured traces into `tracer`: pipeline stages as
     /// [`TraceKind::Stage`] spans on the `observer` lane, Algorithm A on
-    /// the `core` lane, and a level-by-level streaming pass on the
-    /// `lattice` lane (plus `lattice.shard<N>` lanes when the parallel
-    /// pool engages). Configuring a tracer — even a disabled one — also
-    /// makes [`Pipeline::check_execution`] run that streaming pass and
-    /// return its [`StreamReport`].
+    /// the `core` lane, and the level-by-level analysis on the `lattice`
+    /// lane (plus `lattice.shard<N>` lanes when the parallel pool
+    /// engages).
     #[must_use]
     pub fn tracer(mut self, tracer: &Tracer) -> Self {
         self.tracer = Some(tracer.clone());
@@ -161,8 +125,8 @@ impl PipelineConfig {
         self
     }
 
-    /// Replaces the full [`AnalysisConfig`] (counterexample budget,
-    /// parallelism, frontier cap, trail history) at once.
+    /// Replaces the full [`AnalysisConfig`] (parallelism, frontier cap,
+    /// trail history) at once.
     #[must_use]
     pub fn analysis(mut self, config: AnalysisConfig) -> Self {
         self.analysis = config;
@@ -193,17 +157,6 @@ impl PipelineConfig {
     pub fn configured_analyses(&self) -> &[AnalysisKind] {
         &self.analyses
     }
-}
-
-/// What [`Pipeline::check_execution`] produces.
-#[derive(Clone, Debug)]
-pub struct PipelineOutcome {
-    /// The end-to-end verdict.
-    pub report: PipelineReport,
-    /// The streaming analyzer's view of the same computation — `Some`
-    /// exactly when a tracer was configured (the streaming pass is what
-    /// populates the `lattice` trace lanes).
-    pub stream: Option<StreamReport>,
 }
 
 /// The one full-pipeline entrypoint: spec → relevance → Algorithm A →
@@ -240,23 +193,30 @@ impl Pipeline {
         })
     }
 
-    /// Runs the full pipeline over a recorded multithreaded execution.
+    /// The configured telemetry registry.
+    pub(crate) fn registry(&self) -> &Registry {
+        &self.config.telemetry
+    }
+
+    /// Runs the full pipeline over a recorded multithreaded execution, in
+    /// one analysis pass.
     ///
     /// `spec_src` is parsed against `symbols` (which must already map the
     /// execution's variable names, e.g. the table used to build the
-    /// program).
+    /// program). The execution is finite, so unless the config bounds the
+    /// history every level is retained and each violation carries a full
+    /// counterexample run.
     ///
     /// # Errors
     ///
     /// [`PipelineError::Spec`] / [`PipelineError::Monitor`] for an invalid
-    /// specification, [`PipelineError::Input`] for a malformed message
-    /// stream (impossible for streams Algorithm A produces).
+    /// specification.
     pub fn check_execution(
         &self,
         execution: &Execution,
         spec_src: &str,
         symbols: &mut SymbolTable,
-    ) -> Result<PipelineOutcome, PipelineError> {
+    ) -> Result<PipelineReport, PipelineError> {
         let registry = &self.config.telemetry;
         let mut ring = self
             .config
@@ -285,66 +245,42 @@ impl Pipeline {
         ring.record_span(TraceKind::Stage { name: "instrument" }, instrument_start);
 
         let initial = ProgramState::from_map(execution.initial.clone());
+        Ok(conclude(
+            self,
+            monitor,
+            initial,
+            messages,
+            relevance,
+            Exactness::Exact,
+            &mut ring,
+        ))
+    }
 
-        let jpax_start = ring.span_start();
-        let observed_violation = {
-            let _span = registry.histogram("observer.stage.jpax_ns").start_span();
-            crate::jpax::observed_violation(&monitor, &initial, &messages)
-        };
-        ring.record_span(TraceKind::Stage { name: "jpax" }, jpax_start);
-
-        let analysis_start = ring.span_start();
-        let mut observer =
-            Observer::with_options(monitor.clone(), initial.clone(), self.config.analysis);
-        observer.offer_all(messages.iter().cloned());
-        let verdict = {
-            let _span = registry
-                .histogram("observer.stage.analysis_ns")
-                .start_span();
-            observer.conclude()?
-        };
-        ring.record_span(TraceKind::Stage { name: "analysis" }, analysis_start);
-
-        let stream = match &self.config.tracer {
-            Some(tracer) => {
-                let stream_start = ring.span_start();
-                let mut analyzer = StreamingAnalyzer::with_telemetry(
-                    monitor,
-                    &initial,
-                    execution.thread_count().max(1),
-                    registry,
-                )
-                .with_config(&self.config.analysis)
-                .with_trace(tracer);
-                if let Some(pool) = self.shared_pool() {
-                    analyzer = analyzer.with_pool(pool);
-                }
-                analyzer.push_all(messages.iter().cloned());
-                let report = analyzer.finish();
-                ring.record_span(TraceKind::Stage { name: "streaming" }, stream_start);
-                Some(report)
-            }
-            None => None,
-        };
-
-        verdict.analysis().record(registry);
-        if verdict.is_satisfied() {
-            registry.counter("observer.verdict.satisfied").inc();
-        } else {
-            registry.counter("observer.verdict.predicted").inc();
-        }
-        if observed_violation.is_some() {
-            registry.counter("observer.verdict.observed").inc();
-        }
-        Ok(PipelineOutcome {
-            report: PipelineReport {
-                verdict,
-                observed_violation,
-                messages,
-                relevance,
-            },
-            stream,
-        })
+    /// Checks a finite recorded message stream, in any order — e.g. what
+    /// an instrumented [`jmpax_instrument::Session`] drained — exactly as
+    /// [`Pipeline::check_execution`] checks the messages it instruments:
+    /// one analysis pass with full counterexample runs, plus the observed
+    /// run (the messages' order) for the JPaX-style verdict.
+    pub fn check_messages(
+        &self,
+        monitor: Monitor,
+        initial: ProgramState,
+        messages: Vec<Message>,
+    ) -> PipelineReport {
+        let mut ring = self
+            .config
+            .tracer
+            .as_ref()
+            .map_or_else(TraceRing::disabled, |t| t.ring("observer"));
+        conclude(
+            self,
+            monitor,
+            initial,
+            messages,
+            Relevance::AllWrites,
+            Exactness::Exact,
+            &mut ring,
+        )
     }
 
     /// Runs the constant-memory streaming analysis over already-decoded
@@ -367,17 +303,14 @@ impl Pipeline {
         threads: usize,
         messages: impl IntoIterator<Item = Message>,
     ) -> StreamReport {
-        let mut suite = self.check_stream_suite(
-            &[AnalysisKind::Ltl],
-            Some((monitor, initial)),
+        self.ltl_pass(
+            monitor,
+            initial,
             threads,
-            jmpax_lattice::Exactness::Exact,
+            Exactness::Exact,
             messages,
-        );
-        match suite.reports.pop() {
-            Some(AnalysisReport::Ltl(report)) => report,
-            other => unreachable!("LTL-only suite produced {other:?}"),
-        }
+            &self.config.analysis,
+        )
     }
 
     /// Runs an ordered *suite* of analyses — ptLTL, race detection,
@@ -407,15 +340,65 @@ impl Pipeline {
         transport: jmpax_lattice::Exactness,
         messages: impl IntoIterator<Item = Message>,
     ) -> SuiteReport {
-        let registry = &self.config.telemetry;
         let kinds = if kinds.is_empty() {
             &self.config.analyses
         } else {
             kinds
         };
+        self.suite_pass(
+            kinds,
+            ltl,
+            threads,
+            transport,
+            messages,
+            &self.config.analysis,
+        )
+    }
+
+    /// The analysis config for a finite recorded execution: every level
+    /// is retained unless the config bounds the history.
+    pub(crate) fn recorded_config(&self) -> AnalysisConfig {
+        let history = self.config.analysis.history.unwrap_or(usize::MAX);
+        self.config.analysis.with_history(history)
+    }
+
+    /// One LTL-only suite pass under `config`.
+    pub(crate) fn ltl_pass(
+        &self,
+        monitor: Monitor,
+        initial: &ProgramState,
+        threads: usize,
+        transport: Exactness,
+        messages: impl IntoIterator<Item = Message>,
+        config: &AnalysisConfig,
+    ) -> StreamReport {
+        let mut suite = self.suite_pass(
+            &[AnalysisKind::Ltl],
+            Some((monitor, initial)),
+            threads,
+            transport,
+            messages,
+            config,
+        );
+        match suite.reports.pop() {
+            Some(AnalysisReport::Ltl(report)) => report,
+            other => unreachable!("LTL-only suite produced {other:?}"),
+        }
+    }
+
+    fn suite_pass(
+        &self,
+        kinds: &[AnalysisKind],
+        ltl: Option<(Monitor, &ProgramState)>,
+        threads: usize,
+        transport: Exactness,
+        messages: impl IntoIterator<Item = Message>,
+        config: &AnalysisConfig,
+    ) -> SuiteReport {
+        let registry = &self.config.telemetry;
         let mut builder = SuiteBuilder::new(kinds, threads.max(1))
             .sync_vars(self.config.sync_vars.iter().copied())
-            .config(&self.config.analysis)
+            .config(config)
             .telemetry(registry);
         if let Some(tracer) = &self.config.tracer {
             builder = builder.tracer(tracer);
@@ -476,9 +459,10 @@ impl ResilienceSummary {
 /// be reordered, duplicated, bit-flipped or missing: this decodes what
 /// survives (CRC-validated frames, resynchronizing past garbage),
 /// reassembles per-thread sequences (skipping gaps after `stall_budget`
-/// subsequent arrivals), and returns a verdict whose
-/// [`crate::Verdict::exactness`] folds in [`ResilienceSummary::exactness`].
-/// An undamaged stream yields an [`Exactness::Exact`] verdict; pass a
+/// subsequent arrivals), and analyzes the result in one pass like
+/// [`Pipeline::check_execution`], full counterexample runs included. The
+/// report's exactness folds in [`ResilienceSummary::exactness`]: an
+/// undamaged stream yields an [`Exactness::Exact`] verdict. Pass a
 /// `stall_budget` of at least the message count when delivery may be
 /// arbitrarily shuffled, so no gap is given up while it can still fill.
 ///
@@ -487,19 +471,13 @@ impl ResilienceSummary {
 /// `resilience.msgs_duplicate`, `resilience.gaps_skipped`, stage latency
 /// histograms `observer.stage.decode_ns` / `observer.stage.reassemble_ns`,
 /// plus everything the monitor and analysis publish.
-///
-/// # Errors
-///
-/// Only [`PipelineError::Input`] is possible, and only if the reassembled
-/// stream still violates the per-thread sequencing invariant — which the
-/// gap-skipping clock remap rules out for streams produced by Algorithm A.
 pub fn check_frames(
     frames: &bytes::Bytes,
     monitor: Monitor,
     initial: ProgramState,
     stall_budget: u64,
     registry: &Registry,
-) -> Result<(PipelineReport, ResilienceSummary), PipelineError> {
+) -> (PipelineReport, ResilienceSummary) {
     let decode_span = registry.histogram("observer.stage.decode_ns").start_span();
     let mut decoder = ResilientFrameDecoder::new();
     let decoded = decoder.push(frames);
@@ -522,46 +500,16 @@ pub fn check_frames(
     reassembly.record(registry);
     let summary = ResilienceSummary { decode, reassembly };
 
-    let mut report = conclude(monitor, initial, messages, Relevance::AllWrites, registry)?;
-    let analysis = report.verdict.analysis_mut();
-    analysis.exactness = analysis.exactness.combine(summary.exactness());
-    Ok((report, summary))
-}
-
-fn conclude(
-    monitor: Monitor,
-    initial: ProgramState,
-    messages: Vec<Message>,
-    relevance: Relevance,
-    registry: &Registry,
-) -> Result<PipelineReport, PipelineError> {
-    let observed_violation = {
-        let _span = registry.histogram("observer.stage.jpax_ns").start_span();
-        crate::jpax::observed_violation(&monitor, &initial, &messages)
-    };
-    let mut observer = Observer::new(monitor, initial);
-    observer.offer_all(messages.clone());
-    let verdict = {
-        let _span = registry
-            .histogram("observer.stage.analysis_ns")
-            .start_span();
-        observer.conclude()?
-    };
-    verdict.analysis().record(registry);
-    if verdict.is_satisfied() {
-        registry.counter("observer.verdict.satisfied").inc();
-    } else {
-        registry.counter("observer.verdict.predicted").inc();
-    }
-    if observed_violation.is_some() {
-        registry.counter("observer.verdict.observed").inc();
-    }
-    Ok(PipelineReport {
-        verdict,
-        observed_violation,
+    let report = conclude(
+        &Pipeline::new(PipelineConfig::new().telemetry(registry)),
+        monitor,
+        initial,
         messages,
-        relevance,
-    })
+        Relevance::AllWrites,
+        summary.exactness(),
+        &mut TraceRing::disabled(),
+    );
+    (report, summary)
 }
 
 #[cfg(test)]
@@ -597,16 +545,15 @@ mod tests {
     fn full_pipeline_on_example2() {
         let mut syms = SymbolTable::new();
         let ex = example2(&mut syms);
-        let outcome = Pipeline::new(PipelineConfig::new())
+        let report = Pipeline::new(PipelineConfig::new())
             .check_execution(&ex, "(x > 0) -> [y = 0, y > z)", &mut syms)
             .unwrap();
-        assert!(outcome.stream.is_none(), "no tracer, no streaming pass");
-        let report = outcome.report;
         assert!(report.predicted());
         assert!(!report.observed(), "observed run is successful");
-        assert!(report.verdict.is_prediction());
-        assert_eq!(report.verdict.analysis().total_runs, 3);
-        assert_eq!(report.verdict.analysis().violating_runs, 1);
+        assert!(report.is_prediction());
+        assert_eq!(report.analysis.total_runs, 3);
+        assert_eq!(report.analysis.violating_runs, 1);
+        assert!(report.analysis.violations[0].is_full_run());
         assert_eq!(report.messages.len(), 4);
         // Relevance was derived from the formula: writes of x, y, z.
         assert!(matches!(report.relevance, Relevance::WritesOf(ref s) if s.len() == 3));
@@ -618,13 +565,18 @@ mod tests {
         let ex = example2(&mut syms);
         let tracer = jmpax_trace::Tracer::enabled();
         let registry = Registry::enabled();
-        let outcome = Pipeline::new(PipelineConfig::new().telemetry(&registry).tracer(&tracer))
+        let report = Pipeline::new(PipelineConfig::new().telemetry(&registry).tracer(&tracer))
             .check_execution(&ex, "(x > 0) -> [y = 0, y > z)", &mut syms)
             .unwrap();
-        let stream = outcome.stream.expect("tracer configured");
-        assert!(outcome.report.predicted());
-        assert!(stream.completed);
-        assert_eq!(stream.violations.len(), 1);
+        assert!(report.predicted());
+        assert!(report.analysis.completed);
+        assert_eq!(report.analysis.violations.len(), 1);
+        // One analysis pass: the lattice is counted once.
+        let json = registry.snapshot().to_json();
+        assert!(
+            json.contains("\"lattice.states_explored\":{\"type\":\"counter\",\"value\":7}"),
+            "{json}"
+        );
 
         let data = tracer.collect();
         let lanes: Vec<&str> = data.lanes.iter().map(|l| l.lane.as_str()).collect();
@@ -641,7 +593,7 @@ mod tests {
                 _ => None,
             })
             .collect();
-        for stage in ["spec", "instrument", "jpax", "analysis", "streaming"] {
+        for stage in ["spec", "instrument", "jpax", "analysis"] {
             assert!(stages.contains(&stage), "missing stage {stage}: {stages:?}");
         }
         // The lattice lane must carry sealed levels: one per write message.
@@ -685,20 +637,19 @@ mod tests {
         let spec = "(x > 0) -> [y = 0, y > z)";
         let seq = Pipeline::new(PipelineConfig::new())
             .check_execution(&ex, spec, &mut syms)
-            .unwrap()
-            .report;
+            .unwrap();
         let mut syms2 = SymbolTable::new();
         let ex2 = example2(&mut syms2);
-        let par = Pipeline::new(PipelineConfig::new().parallelism(8))
-            .check_execution(&ex2, spec, &mut syms2)
-            .unwrap()
-            .report;
-        assert_eq!(seq.verdict.analysis().total_runs, par.verdict.analysis().total_runs);
-        assert_eq!(
-            seq.verdict.analysis().violating_runs,
-            par.verdict.analysis().violating_runs
-        );
-        assert_eq!(seq.verdict.analysis().states, par.verdict.analysis().states);
+        let par = Pipeline::new(
+            PipelineConfig::new().analysis(
+                AnalysisConfig::default()
+                    .with_parallelism(8)
+                    .with_shard_granularity(1),
+            ),
+        )
+        .check_execution(&ex2, spec, &mut syms2)
+        .unwrap();
+        assert_eq!(format!("{:?}", seq.analysis), format!("{:?}", par.analysis));
         assert_eq!(seq.messages, par.messages);
         assert_eq!(seq.observed_violation, par.observed_violation);
     }
@@ -707,8 +658,7 @@ mod tests {
     fn parallel_pipeline_reuses_one_pool_across_calls() {
         // A parallel pipeline spawns its expansion pool lazily and keeps it
         // across check_execution calls; every call must produce the same
-        // verdict (the tracer forces the streaming pass, which is the path
-        // that dispatches to the pool).
+        // verdict.
         let tracer = jmpax_trace::Tracer::enabled();
         let pipeline = Pipeline::new(
             PipelineConfig::new()
@@ -719,11 +669,10 @@ mod tests {
         for _ in 0..3 {
             let mut syms = SymbolTable::new();
             let ex = example2(&mut syms);
-            let outcome = pipeline.check_execution(&ex, spec, &mut syms).unwrap();
-            assert!(outcome.report.predicted());
-            let stream = outcome.stream.expect("tracer configured");
-            assert!(stream.completed);
-            assert_eq!(stream.violations.len(), 1);
+            let report = pipeline.check_execution(&ex, spec, &mut syms).unwrap();
+            assert!(report.predicted());
+            assert!(report.analysis.completed);
+            assert_eq!(report.analysis.violations.len(), 1);
         }
     }
 
@@ -774,14 +723,13 @@ mod tests {
             initial,
             8,
             &Registry::disabled(),
-        )
-        .unwrap();
+        );
         assert!(summary.is_clean());
         assert_eq!(summary.decode.frames_ok, messages.len() as u64);
-        assert!(report.verdict.exactness().is_exact());
+        assert!(report.exactness().is_exact());
         assert!(report.predicted());
-        assert_eq!(report.verdict.analysis().total_runs, 3);
-        assert_eq!(report.verdict.analysis().violating_runs, 1);
+        assert_eq!(report.analysis.total_runs, 3);
+        assert_eq!(report.analysis.violating_runs, 1);
         assert_eq!(report.messages, messages);
     }
 
@@ -793,13 +741,12 @@ mod tests {
         // is dropped, and the reassembler must skip the resulting gap.
         buf[offsets[1] + 12] ^= 0x01;
         let registry = Registry::enabled();
-        let (report, summary) =
-            check_frames(&buf.freeze(), monitor, initial, 2, &registry).unwrap();
+        let (report, summary) = check_frames(&buf.freeze(), monitor, initial, 2, &registry);
         assert!(!summary.is_clean());
         assert_eq!(summary.decode.frames_corrupt, 1);
         assert_eq!(summary.decode.frames_ok as usize, messages.len() - 1);
         assert_eq!(summary.reassembly.skipped_gaps(), 1);
-        assert!(!report.verdict.exactness().is_exact());
+        assert!(!report.exactness().is_exact());
         assert_eq!(report.messages.len(), messages.len() - 1);
         let json = registry.snapshot().to_json();
         assert!(
@@ -842,15 +789,10 @@ mod tests {
                 initial.clone(),
                 8,
                 &Registry::disabled(),
-            )
-            .unwrap();
+            );
             assert_eq!(summary.reassembly.skipped_gaps(), 0, "{name}");
             assert_eq!(summary.exactness(), Exactness::degraded(0, 1), "{name}");
-            assert_eq!(
-                report.verdict.exactness(),
-                Exactness::degraded(0, 1),
-                "{name}"
-            );
+            assert_eq!(report.exactness(), Exactness::degraded(0, 1), "{name}");
             assert_eq!(report.messages.len(), messages.len() - 1, "{name}");
         }
     }
@@ -876,10 +818,10 @@ mod tests {
             &mut buf,
         );
         let (report, summary) =
-            check_frames(&buf.freeze(), monitor, initial, 8, &Registry::disabled()).unwrap();
+            check_frames(&buf.freeze(), monitor, initial, 8, &Registry::disabled());
         assert_eq!(summary.decode.frames_corrupt, 1);
         assert!(!summary.is_clean());
-        assert!(!report.verdict.exactness().is_exact());
+        assert!(!report.exactness().is_exact());
     }
 
     #[test]
@@ -893,10 +835,9 @@ mod tests {
             ProgramState::new(),
             8,
             &Registry::disabled(),
-        )
-        .unwrap();
+        );
         assert_eq!(summary.decode.bytes_skipped, 3);
         assert!(report.messages.is_empty());
-        assert!(!report.verdict.exactness().is_exact());
+        assert!(!report.exactness().is_exact());
     }
 }

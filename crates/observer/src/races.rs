@@ -1,325 +1,73 @@
-//! Predictive data-race detection.
+//! Predictive data-race detection, end to end through the observer.
 //!
 //! The paper's introduction names data races as the canonical bug class
 //! that single-trace testing misses ("like in the case of data-races, the
 //! chance of detecting this safety violation by monitoring only the actual
-//! run is very low"). This module implements the classic vector-clock race
-//! detector (Djit⁺-style, full vector clocks) on top of the same event
-//! model: the *synchronization-only* happens-before — program order plus
-//! lock transfer edges — is tracked per thread, and a data access races
-//! with an earlier access of the same variable when that access is not
-//! ordered before it.
-//!
-//! Crucially, this is a **predictive** analysis in exactly the paper's
-//! sense: the verdict depends only on the synchronization structure of the
-//! observed execution, so a race is reported even when the actual
-//! interleaving kept the accesses far apart.
-//!
-//! Note the deliberate difference from Algorithm A: Algorithm A *derives*
-//! causality from data accesses (write-read/read-write/write-write edges),
-//! while race detection must *check* data accesses against a causality
-//! built from synchronization alone — using Algorithm A's clocks here would
-//! make every race invisible by construction.
+//! run is very low"). Race detection is the analysis suite's
+//! [`jmpax_lattice::RaceAnalysis`]; these tests drive it the way
+//! `jmpax check --analysis race` does — every access instrumented, the
+//! messages run through [`crate::Pipeline::check_stream_suite`] — and
+//! compare it with an exhaustive happens-before oracle.
 
-use std::collections::BTreeSet;
-
-use jmpax_core::{Event, EventKind, Execution, ThreadId, VarId, VectorClock};
-
-/// One end of a racing pair.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Access {
-    /// The accessing thread.
-    pub thread: ThreadId,
-    /// Index of the event in the execution.
-    pub index: usize,
-    /// True for writes.
-    pub is_write: bool,
-}
-
-/// A detected data race on `var`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Race {
-    /// The racing variable.
-    pub var: VarId,
-    /// The earlier access (by trace order).
-    pub first: Access,
-    /// The later access; at least one of the two is a write.
-    pub second: Access,
-}
-
-/// Vector-clock race detector state.
-///
-/// ```
-/// use jmpax_core::{Event, ThreadId, VarId};
-/// use jmpax_observer::races::RaceDetector;
-///
-/// let mut det = RaceDetector::new([]);
-/// det.process(&Event::write(ThreadId(0), VarId(0), 1));
-/// let races = det.process(&Event::write(ThreadId(1), VarId(0), 2));
-/// assert_eq!(races.len(), 1, "unsynchronized write-write race");
-/// ```
-#[derive(Clone, Debug)]
-pub struct RaceDetector {
-    sync_vars: BTreeSet<VarId>,
-    /// Per-thread synchronization clock `C_t`.
-    clocks: Vec<VectorClock>,
-    /// Per sync-var: the clock deposited by the last lock event.
-    lock_clocks: Vec<Option<VectorClock>>,
-    /// Per data var: clock of reads (component per thread) + last read
-    /// index per thread.
-    read_clocks: Vec<VectorClock>,
-    read_index: Vec<Vec<Option<usize>>>,
-    /// Per data var: clock of writes + last write index per thread.
-    write_clocks: Vec<VectorClock>,
-    write_index: Vec<Vec<Option<usize>>>,
-    races: Vec<Race>,
-    position: usize,
-}
-
-impl RaceDetector {
-    /// Creates a detector; writes of `sync_vars` are lock-transfer events
-    /// (acquire *and* release both join-and-deposit, which orders any two
-    /// critical sections of the same lock).
-    #[must_use]
-    pub fn new(sync_vars: impl IntoIterator<Item = VarId>) -> Self {
-        Self {
-            sync_vars: sync_vars.into_iter().collect(),
-            clocks: Vec::new(),
-            lock_clocks: Vec::new(),
-            read_clocks: Vec::new(),
-            read_index: Vec::new(),
-            write_clocks: Vec::new(),
-            write_index: Vec::new(),
-            races: Vec::new(),
-            position: 0,
-        }
-    }
-
-    fn thread_clock(&mut self, t: ThreadId) -> &mut VectorClock {
-        if self.clocks.len() <= t.index() {
-            self.clocks.resize_with(t.index() + 1, VectorClock::new);
-        }
-        &mut self.clocks[t.index()]
-    }
-
-    fn grow_var(&mut self, v: VarId) {
-        if self.read_clocks.len() <= v.index() {
-            self.read_clocks
-                .resize_with(v.index() + 1, VectorClock::new);
-            self.write_clocks
-                .resize_with(v.index() + 1, VectorClock::new);
-            self.read_index.resize_with(v.index() + 1, Vec::new);
-            self.write_index.resize_with(v.index() + 1, Vec::new);
-        }
-    }
-
-    fn set_index(table: &mut Vec<Option<usize>>, t: ThreadId, idx: usize) {
-        if table.len() <= t.index() {
-            table.resize(t.index() + 1, None);
-        }
-        table[t.index()] = Some(idx);
-    }
-
-    /// Feeds one event. Returns any race completed by this event.
-    pub fn process(&mut self, event: &Event) -> Vec<Race> {
-        let idx = self.position;
-        self.position += 1;
-        let t = event.thread;
-        // Program order: tick the thread's own component.
-        self.thread_clock(t).tick(t);
-
-        let mut found = Vec::new();
-        match event.kind {
-            EventKind::Internal => {}
-            EventKind::Write { var, .. } if self.sync_vars.contains(&var) => {
-                // Lock transfer: join with the deposited clock, deposit.
-                if self.lock_clocks.len() <= var.index() {
-                    self.lock_clocks.resize_with(var.index() + 1, || None);
-                }
-                let deposited = self.lock_clocks[var.index()].clone();
-                let ct = self.thread_clock(t);
-                if let Some(d) = deposited {
-                    ct.join(&d);
-                }
-                let snapshot = ct.clone();
-                self.lock_clocks[var.index()] = Some(snapshot);
-            }
-            EventKind::Read { var } => {
-                if self.sync_vars.contains(&var) {
-                    // Reads of sync vars happen only in exotic traces;
-                    // treat them as joining (acquire-like) without deposit.
-                    if let Some(Some(d)) = self.lock_clocks.get(var.index()).cloned() {
-                        self.thread_clock(t).join(&d);
-                    }
-                    return found;
-                }
-                self.grow_var(var);
-                let ct = self.clocks[t.index()].clone();
-                // A read races with any write not ordered before it.
-                for (j, wj) in self.write_clocks[var.index()].iter() {
-                    if j != t && wj > 0 && wj > ct.get(j) {
-                        if let Some(widx) = self.write_index[var.index()]
-                            .get(j.index())
-                            .copied()
-                            .flatten()
-                        {
-                            found.push(Race {
-                                var,
-                                first: Access {
-                                    thread: j,
-                                    index: widx,
-                                    is_write: true,
-                                },
-                                second: Access {
-                                    thread: t,
-                                    index: idx,
-                                    is_write: false,
-                                },
-                            });
-                        }
-                    }
-                }
-                let own = ct.get(t);
-                self.read_clocks[var.index()].set(t, own);
-                Self::set_index(&mut self.read_index[var.index()], t, idx);
-            }
-            EventKind::Write { var, .. } => {
-                self.grow_var(var);
-                let ct = self.clocks[t.index()].clone();
-                // A write races with any unordered previous write or read.
-                for (j, wj) in self.write_clocks[var.index()].iter() {
-                    if j != t && wj > 0 && wj > ct.get(j) {
-                        if let Some(widx) = self.write_index[var.index()]
-                            .get(j.index())
-                            .copied()
-                            .flatten()
-                        {
-                            found.push(Race {
-                                var,
-                                first: Access {
-                                    thread: j,
-                                    index: widx,
-                                    is_write: true,
-                                },
-                                second: Access {
-                                    thread: t,
-                                    index: idx,
-                                    is_write: true,
-                                },
-                            });
-                        }
-                    }
-                }
-                for (j, rj) in self.read_clocks[var.index()].iter() {
-                    if j != t && rj > 0 && rj > ct.get(j) {
-                        if let Some(ridx) = self.read_index[var.index()]
-                            .get(j.index())
-                            .copied()
-                            .flatten()
-                        {
-                            found.push(Race {
-                                var,
-                                first: Access {
-                                    thread: j,
-                                    index: ridx,
-                                    is_write: false,
-                                },
-                                second: Access {
-                                    thread: t,
-                                    index: idx,
-                                    is_write: true,
-                                },
-                            });
-                        }
-                    }
-                }
-                let own = ct.get(t);
-                self.write_clocks[var.index()].set(t, own);
-                Self::set_index(&mut self.write_index[var.index()], t, idx);
-            }
-        }
-        self.races.extend(found.iter().copied());
-        found
-    }
-
-    /// All races found so far.
-    #[must_use]
-    pub fn races(&self) -> &[Race] {
-        &self.races
-    }
-}
-
-/// One-shot detection over a recorded execution, deduplicated.
-#[must_use]
-pub fn detect_races(execution: &Execution, sync_vars: &BTreeSet<VarId>) -> Vec<Race> {
-    let mut det = RaceDetector::new(sync_vars.iter().copied());
-    for e in &execution.events {
-        det.process(e);
-    }
-    det.races_deduped()
-}
-
-/// Observer-side race detection **over the message wire**: the instrumented
-/// program runs with relevance covering reads and writes of the data
-/// variables plus the lock pseudo-variables, and ships only messages. The
-/// messages may arrive in any order; a [`jmpax_core::CausalBuffer`] first
-/// restores a causally consistent order, which is all the happens-before
-/// construction needs (any linearization consistent with causality yields
-/// the same race verdicts — per-thread order and per-lock transfer order
-/// are both preserved by causal delivery).
-#[must_use]
-pub fn detect_races_from_messages(
-    messages: impl IntoIterator<Item = jmpax_core::Message>,
-    sync_vars: &BTreeSet<VarId>,
-) -> Vec<Race> {
-    let mut buffer = jmpax_core::CausalBuffer::new();
-    let mut det = RaceDetector::new(sync_vars.iter().copied());
-    for m in messages {
-        for delivered in buffer.push(m) {
-            det.process(&delivered.event);
-        }
-    }
-    det.races_deduped()
-}
-
-impl RaceDetector {
-    /// Accumulated races, deduplicated by variable, thread pair and access
-    /// kinds (keeping the first occurrence of each class).
-    #[must_use]
-    pub fn races_deduped(&self) -> Vec<Race> {
-        let mut seen = std::collections::HashSet::new();
-        self.races
-            .iter()
-            .filter(|r| {
-                seen.insert((
-                    r.var,
-                    r.first.thread,
-                    r.second.thread,
-                    r.first.is_write,
-                    r.second.is_write,
-                ))
-            })
-            .copied()
-            .collect()
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use jmpax_core::{Event, ThreadId, VarId};
+    use std::collections::BTreeSet;
+
+    use jmpax_core::{
+        AnalysisKind, Event, EventKind, Message, MvcInstrumentor, Relevance, ThreadId, VarId,
+    };
+    use jmpax_lattice::analyses::RaceFinding;
+    use jmpax_lattice::{Analysis, AnalysisSuite, Exactness, RaceAnalysis};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    use crate::pipeline::{Pipeline, PipelineConfig};
 
     const T1: ThreadId = ThreadId(0);
     const T2: ThreadId = ThreadId(1);
     const X: VarId = VarId(0);
     const L: VarId = VarId(9);
 
-    fn run(events: &[Event], sync: &[VarId]) -> Vec<Race> {
-        let mut det = RaceDetector::new(sync.iter().copied());
-        for e in events {
-            det.process(e);
-        }
-        det.races_deduped()
+    /// A race's identity: variable, then thread and kind (`true` = write) of
+    /// the earlier and the later access.
+    type RaceKey = (VarId, ThreadId, bool, ThreadId, bool);
+
+    fn key(f: &RaceFinding) -> RaceKey {
+        (
+            f.var,
+            f.first.thread,
+            f.first.is_write,
+            f.second.thread,
+            f.second.is_write,
+        )
+    }
+
+    /// The races the pipeline's suite finds in `messages`, `sync` being the
+    /// lock variables.
+    fn suite_races(messages: Vec<Message>, sync: &[VarId]) -> Vec<RaceFinding> {
+        let threads = messages
+            .iter()
+            .map(|m| m.thread().index() + 1)
+            .max()
+            .unwrap_or(1);
+        let pipeline = Pipeline::new(PipelineConfig::new().sync_vars(sync.iter().copied()));
+        let suite = pipeline.check_stream_suite(
+            &[AnalysisKind::Race],
+            None,
+            threads,
+            Exactness::Exact,
+            messages,
+        );
+        let race = suite.reports[0].as_race().expect("a race report");
+        assert_eq!(race.races_found, race.findings.len() as u64);
+        race.findings.clone()
+    }
+
+    /// Instruments every access of `events` and runs the suite over them.
+    fn run(events: &[Event], sync: &[VarId]) -> Vec<RaceFinding> {
+        let mut instr = MvcInstrumentor::with_relevance(Relevance::Everything);
+        suite_races(
+            events.iter().filter_map(|e| instr.process(e)).collect(),
+            sync,
+        )
     }
 
     #[test]
@@ -424,15 +172,14 @@ mod tests {
         );
         // Many racing pairs, one per (var, threads, kinds) after dedup —
         // both directions count separately.
-        assert!(races.len() <= 2, "{races:?}");
-        assert!(!races.is_empty());
+        assert_eq!(races.len(), 2, "{races:?}");
     }
 
     #[test]
     fn races_detected_over_the_wire_in_any_delivery_order() {
-        use jmpax_core::{MvcInstrumentor, Relevance};
         // Instrument the racy pair with reads+writes relevant and ship the
-        // messages shuffled; the observer-side detector must find the race.
+        // messages reversed; the suite's causal buffer restores an order and
+        // the race is found.
         let events = [
             Event::write(T1, X, 1),
             Event::read(T1, X),
@@ -441,15 +188,17 @@ mod tests {
         ];
         let mut instr = MvcInstrumentor::with_relevance(Relevance::accesses_of([X]));
         let mut msgs: Vec<_> = events.iter().filter_map(|e| instr.process(e)).collect();
+        let in_order = suite_races(msgs.clone(), &[]);
         msgs.reverse();
-        let races = detect_races_from_messages(msgs, &BTreeSet::new());
+        let races = suite_races(msgs, &[]);
         assert!(!races.is_empty());
         assert!(races.iter().all(|r| r.var == X));
+        assert_eq!(races, in_order);
     }
 
     #[test]
     fn locked_accesses_over_the_wire_are_clean() {
-        use jmpax_core::{MvcInstrumentor, Relevance, Value};
+        use jmpax_core::Value;
         // acquire/release pseudo-writes interleave with data accesses.
         let events = [
             Event::write(T1, L, Value::Int(1)),
@@ -461,13 +210,12 @@ mod tests {
         ];
         let mut instr = MvcInstrumentor::with_relevance(Relevance::AllWrites);
         let msgs: Vec<_> = events.iter().filter_map(|e| instr.process(e)).collect();
-        let sync: BTreeSet<VarId> = [L].into_iter().collect();
-        assert!(detect_races_from_messages(msgs, &sync).is_empty());
+        assert!(suite_races(msgs, &[L]).is_empty());
     }
 
     #[test]
     fn detect_races_on_sched_programs() {
-        use jmpax_sched::{run_round_robin, Expr, Program, Stmt};
+        use jmpax_sched::{run_round_robin, Expr, LockId, Program, Stmt};
         // Unsynchronized increment by two threads.
         let inc = vec![Stmt::assign(X, Expr::var(X).add(Expr::val(1)))];
         let p = Program::new()
@@ -475,11 +223,10 @@ mod tests {
             .with_thread(inc)
             .with_initial(X, 0);
         let out = run_round_robin(&p, 100);
-        let races = detect_races(&out.execution, &BTreeSet::new());
+        let races = run(&out.execution.events, &[]);
         assert!(!races.is_empty(), "the classic lost-update race");
 
         // The same program with a lock is clean.
-        use jmpax_sched::LockId;
         let l = LockId(0);
         let locked = vec![
             Stmt::Lock(l),
@@ -492,8 +239,123 @@ mod tests {
             .with_initial(X, 0)
             .with_locks(1);
         let out = run_round_robin(&p, 100);
-        let sync: BTreeSet<VarId> = [p.lock_var(l)].into_iter().collect();
-        let races = detect_races(&out.execution, &sync);
+        let races = run(&out.execution.events, &[p.lock_var(l)]);
         assert!(races.is_empty(), "{races:?}");
+    }
+
+    /// A random execution over data variables `x`, `y` and lock `L`: each
+    /// thread runs a few data accesses, some of them inside `L`-protected
+    /// sections (acquire and release are writes of `L`), interleaved at
+    /// random with the other threads but never inside another thread's
+    /// section.
+    fn random_locked_execution(rng: &mut StdRng) -> Vec<Event> {
+        let threads = rng.gen_range(2..=3u32);
+        let mut scripts: Vec<Vec<Event>> = Vec::new();
+        for t in 0..threads {
+            let t = ThreadId(t);
+            let mut script = Vec::new();
+            for _ in 0..rng.gen_range(1..=3) {
+                let locked = rng.gen_bool(0.5);
+                if locked {
+                    script.push(Event::write(t, L, 1));
+                }
+                for _ in 0..rng.gen_range(1..=2) {
+                    let var = VarId(rng.gen_range(0..2u32));
+                    script.push(if rng.gen_bool(0.5) {
+                        Event::write(t, var, rng.gen_range(0..5i64))
+                    } else {
+                        Event::read(t, var)
+                    });
+                }
+                if locked {
+                    script.push(Event::write(t, L, 0));
+                }
+            }
+            scripts.push(script);
+        }
+        let mut next = vec![0usize; scripts.len()];
+        let mut holder: Option<usize> = None;
+        let mut events = Vec::new();
+        loop {
+            let ready: Vec<usize> = (0..scripts.len())
+                .filter(|&t| next[t] < scripts[t].len() && holder.is_none_or(|h| h == t))
+                .collect();
+            let Some(&t) = ready.get(rng.gen_range(0..ready.len().max(1))) else {
+                break;
+            };
+            let e = scripts[t][next[t]];
+            next[t] += 1;
+            if let EventKind::Write { var: L, value } = e.kind {
+                holder = (value == 1.into()).then_some(t);
+            }
+            events.push(e);
+        }
+        events
+    }
+
+    /// The oracle: every conflicting pair `i < j` (same data variable, one a
+    /// write, different threads) not ordered by the transitive closure of
+    /// program order and the order of `L`'s writes.
+    fn oracle_races(events: &[Event]) -> BTreeSet<RaceKey> {
+        let n = events.len();
+        let mut hb = vec![vec![false; n]; n];
+        for j in 0..n {
+            for i in 0..j {
+                let same_thread = events[i].thread == events[j].thread;
+                let both_lock = events[i].var() == Some(L)
+                    && events[j].var() == Some(L)
+                    && events[i].kind.is_write()
+                    && events[j].kind.is_write();
+                hb[i][j] = same_thread || both_lock;
+            }
+        }
+        for k in 0..n {
+            let through_k = hb[k].clone();
+            for row in &mut hb {
+                if row[k] {
+                    for (cell, &via) in row.iter_mut().zip(&through_k) {
+                        *cell |= via;
+                    }
+                }
+            }
+        }
+        let mut races = BTreeSet::new();
+        for j in 0..n {
+            for i in 0..j {
+                let (a, b) = (&events[i], &events[j]);
+                let (Some(va), Some(vb)) = (a.var(), b.var()) else {
+                    continue;
+                };
+                if va == vb
+                    && va != L
+                    && a.thread != b.thread
+                    && (a.kind.is_write() || b.kind.is_write())
+                    && !hb[i][j]
+                {
+                    races.insert((va, a.thread, a.kind.is_write(), b.thread, b.kind.is_write()));
+                }
+            }
+        }
+        races
+    }
+
+    #[test]
+    fn race_sets_match_the_happens_before_oracle() {
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        for case in 0..300 {
+            let events = random_locked_execution(&mut rng);
+            let mut instr = MvcInstrumentor::with_relevance(Relevance::Everything);
+            let msgs: Vec<Message> = events.iter().filter_map(|e| instr.process(e)).collect();
+            // No findings budget: every race class must be listed.
+            let detector =
+                RaceAnalysis::new(3, [L].into_iter().collect()).with_max_findings(usize::MAX);
+            let mut suite = AnalysisSuite::new(vec![Box::new(detector) as Box<dyn Analysis>]);
+            suite.push_all(msgs);
+            let report = suite.finish(Exactness::Exact);
+            let race = report.reports[0].as_race().expect("a race report");
+            let found: BTreeSet<RaceKey> = race.findings.iter().map(key).collect();
+            assert_eq!(found.len() as u64, race.races_found, "case {case}");
+            assert_eq!(found, oracle_races(&events), "case {case}: {events:?}");
+        }
     }
 }

@@ -8,7 +8,7 @@
 use std::fmt::Write as _;
 
 use jmpax_core::SymbolTable;
-use jmpax_lattice::{Counterexample, LatticeAnalysis, Violation};
+use jmpax_lattice::{RunStep, StreamReport, Violation};
 use jmpax_spec::ProgramState;
 
 fn render_state(state: &ProgramState, symbols: &SymbolTable) -> String {
@@ -23,12 +23,22 @@ fn render_state(state: &ProgramState, symbols: &SymbolTable) -> String {
     out
 }
 
-/// Renders one counterexample run, one step per line.
+/// A run count; a saturated count prints as a lower bound.
+fn render_runs(count: u128) -> String {
+    if count == u128::MAX {
+        format!("≥ {count}")
+    } else {
+        count.to_string()
+    }
+}
+
+/// Renders the steps of a run or trail, one per line.
 #[must_use]
-pub fn render_counterexample(ce: &Counterexample, symbols: &SymbolTable) -> String {
+pub fn render_counterexample(steps: &[RunStep], symbols: &SymbolTable) -> String {
     let mut out = String::new();
-    for (i, step) in ce.steps.iter().enumerate() {
-        match (&step.thread, &step.message) {
+    for (i, step) in steps.iter().enumerate() {
+        let state = render_state(&step.state, symbols);
+        let _ = match (&step.thread, &step.message) {
             (Some(t), Some(m)) => {
                 let var = m
                     .var()
@@ -36,25 +46,17 @@ pub fn render_counterexample(ce: &Counterexample, symbols: &SymbolTable) -> Stri
                 let val = m
                     .written_value()
                     .map_or_else(|| "?".to_owned(), |v| v.to_string());
-                let _ = writeln!(
-                    out,
-                    "  {i:>3}. {t} writes {var} = {val:<6} -> {}",
-                    render_state(&step.state, symbols)
-                );
+                writeln!(out, "  {i:>3}. {t} writes {var} = {val:<6} -> {state}")
             }
-            _ => {
-                let _ = writeln!(
-                    out,
-                    "  {i:>3}. (initial)              -> {}",
-                    render_state(&step.state, symbols)
-                );
-            }
-        }
+            _ => writeln!(out, "  {i:>3}. (initial)              -> {state}"),
+        };
     }
     out
 }
 
-/// Renders one violation (cut, state, optional counterexample).
+/// Renders one violation: its cut and state, then the whole
+/// counterexample run, or the trail's last states when the retained
+/// history did not reach back to the initial state.
 #[must_use]
 pub fn render_violation(v: &Violation, symbols: &SymbolTable) -> String {
     let mut out = String::new();
@@ -64,27 +66,32 @@ pub fn render_violation(v: &Violation, symbols: &SymbolTable) -> String {
         v.cut,
         render_state(&v.state, symbols)
     );
-    if let Some(ce) = &v.counterexample {
-        let _ = writeln!(out, "counterexample run ({} events):", ce.event_count());
-        out.push_str(&render_counterexample(ce, symbols));
+    if v.is_full_run() {
+        let _ = writeln!(out, "counterexample run ({} events):", v.event_count());
+    } else {
+        let _ = writeln!(out, "trail (last {} states):", v.trail.len());
     }
+    out.push_str(&render_counterexample(&v.trail, symbols));
     out
 }
 
 /// Renders a whole analysis summary in the shape the paper reports its
 /// examples ("6 states to analyze and three corresponding runs").
 #[must_use]
-pub fn render_analysis(a: &LatticeAnalysis, symbols: &SymbolTable) -> String {
+pub fn render_analysis(a: &StreamReport, symbols: &SymbolTable) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
         "lattice: {} states, {} levels (peak width {})",
-        a.states, a.levels, a.max_level_width
+        a.states_explored,
+        a.levels(),
+        a.peak_frontier
     );
     let _ = writeln!(
         out,
         "runs: {} total, {} violating",
-        a.total_runs, a.violating_runs
+        render_runs(a.total_runs),
+        render_runs(a.violating_runs)
     );
     if !a.exactness.is_exact() {
         let _ = writeln!(out, "confidence: {}", a.exactness);
@@ -95,31 +102,6 @@ pub fn render_analysis(a: &LatticeAnalysis, symbols: &SymbolTable) -> String {
         for v in &a.violations {
             out.push_str(&render_violation(v, symbols));
         }
-    }
-    out
-}
-
-/// Renders a race report, one line per race, using trace-style 0-based
-/// thread names.
-#[must_use]
-pub fn render_races(races: &[crate::races::Race], symbols: &SymbolTable) -> String {
-    if races.is_empty() {
-        return "no data races predicted\n".to_owned();
-    }
-    let mut out = String::new();
-    for r in races {
-        let kind = |w: bool| if w { "write" } else { "read" };
-        let _ = writeln!(
-            out,
-            "race on {}: T{} {} (event #{}) vs T{} {} (event #{})",
-            symbols.name_or_default(r.var),
-            r.first.thread.0,
-            kind(r.first.is_write),
-            r.first.index,
-            r.second.thread.0,
-            kind(r.second.is_write),
-            r.second.index,
-        );
     }
     out
 }
@@ -157,9 +139,7 @@ mod tests {
     use super::*;
     use jmpax_core::{Execution, ThreadId};
 
-    #[test]
-    fn renders_example2_analysis_with_names() {
-        let mut syms = SymbolTable::new();
+    fn example2(syms: &mut SymbolTable) -> Execution {
         let x = syms.intern("x");
         let y = syms.intern("y");
         let z = syms.intern("z");
@@ -177,33 +157,56 @@ mod tests {
         ex.write(t1, y, 1);
         ex.read(t2, x);
         ex.write(t2, x, 1);
+        ex
+    }
 
-        let outcome = crate::pipeline::Pipeline::new(crate::pipeline::PipelineConfig::new())
+    #[test]
+    fn renders_example2_analysis_with_names() {
+        let mut syms = SymbolTable::new();
+        let ex = example2(&mut syms);
+        let report = crate::pipeline::Pipeline::new(crate::pipeline::PipelineConfig::new())
             .check_execution(&ex, "(x > 0) -> [y = 0, y > z)", &mut syms)
             .unwrap();
-        let text = render_analysis(outcome.report.verdict.analysis(), &syms);
-        assert!(text.contains("7 states"), "{text}");
+        let text = render_analysis(&report.analysis, &syms);
+        assert!(text.contains("7 states, 5 levels"), "{text}");
         assert!(text.contains("3 total, 1 violating"), "{text}");
         assert!(text.contains("violation at cut S2,2"), "{text}");
+        assert!(text.contains("counterexample run (4 events)"), "{text}");
         assert!(text.contains("x=1"), "{text}");
         assert!(text.contains("T1 writes"), "{text}");
     }
 
     #[test]
-    fn renders_races_and_deadlocks() {
-        use jmpax_core::{Event, Value, VarId};
+    fn bounded_history_renders_a_trail() {
+        let mut syms = SymbolTable::new();
+        let ex = example2(&mut syms);
+        let report = crate::pipeline::Pipeline::new(
+            crate::pipeline::PipelineConfig::new()
+                .analysis(jmpax_lattice::AnalysisConfig::default().with_history(0)),
+        )
+        .check_execution(&ex, "(x > 0) -> [y = 0, y > z)", &mut syms)
+        .unwrap();
+        let text = render_analysis(&report.analysis, &syms);
+        assert!(text.contains("trail (last 2 states):"), "{text}");
+        // Both steps of the trail name their write; none is "initial".
+        assert_eq!(text.matches(" writes ").count(), 2, "{text}");
+        assert!(!text.contains("(initial)"), "{text}");
+    }
+
+    #[test]
+    fn saturated_run_counts_render_as_bounds() {
+        assert_eq!(render_runs(3), "3");
+        assert_eq!(
+            render_runs(u128::MAX),
+            "≥ 340282366920938463463374607431768211455"
+        );
+    }
+
+    #[test]
+    fn renders_deadlocks() {
+        use jmpax_core::{Event, Value};
 
         let mut syms = SymbolTable::new();
-        let x = syms.intern("balance");
-        let mut det = crate::races::RaceDetector::new([]);
-        det.process(&Event::write(ThreadId(0), x, 1));
-        det.process(&Event::write(ThreadId(1), x, 2));
-        let races = det.races_deduped();
-        let text = render_races(&races, &syms);
-        assert!(text.contains("race on balance: T0 write"), "{text}");
-        assert!(text.contains("T1 write"), "{text}");
-        assert_eq!(render_races(&[], &syms), "no data races predicted\n");
-
         let a = syms.intern("fork0");
         let b = syms.intern("fork1");
         let mut det = crate::deadlock::DeadlockDetector::new([a, b]);
@@ -229,7 +232,6 @@ mod tests {
             render_deadlocks(&[], &syms),
             "no deadlock cycles predicted\n"
         );
-        let _ = VarId(0);
     }
 
     #[test]
@@ -238,10 +240,10 @@ mod tests {
         let x = syms.intern("x");
         let mut ex = Execution::new().with_initial(x, 0);
         ex.write(ThreadId(0), x, 1);
-        let outcome = crate::pipeline::Pipeline::new(crate::pipeline::PipelineConfig::new())
+        let report = crate::pipeline::Pipeline::new(crate::pipeline::PipelineConfig::new())
             .check_execution(&ex, "x >= 0", &mut syms)
             .unwrap();
-        let text = render_analysis(outcome.report.verdict.analysis(), &syms);
+        let text = render_analysis(&report.analysis, &syms);
         assert!(text.contains("satisfied on every run"), "{text}");
     }
 }

@@ -3,7 +3,7 @@
 //! Before this module, the repo had two parallel enums for the same
 //! question — "how much can this result be trusted?": the serve daemon's
 //! tenant verdict and ad-hoc [`jmpax_lattice::Exactness`] plumbing on
-//! [`crate::Verdict`]. [`ExactnessVerdict`] is the single answer: every
+//! the pipeline's report. [`ExactnessVerdict`] is the single answer: every
 //! layer that must report trust (per-tenant outcomes, per-analysis report
 //! sections, CLI JSON) speaks this type.
 

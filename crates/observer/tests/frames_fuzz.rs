@@ -4,10 +4,11 @@
 //!
 //! The property is the soundness of `Exact`: a verdict over a stream in
 //! which any delivered byte was damaged, or a message was lost where a
-//! later message of its thread reveals the gap, is never `Exact`; a
+//! message that causally follows it arrived (a later message of its
+//! thread, or of a thread that read what it wrote), is never `Exact`; a
 //! stream with neither is `Exact` and agrees with the in-order analysis of
-//! the same messages. (A message lost at the end of its thread's stream,
-//! cleanly on a frame boundary, leaves nothing on the wire to detect.)
+//! the same messages. (A message lost with nothing after it, cleanly on a
+//! frame boundary, leaves nothing on the wire to detect.)
 //!
 //! `cargo test -p jmpax-observer --test frames_fuzz` runs 1 000 cases;
 //! add `-- --ignored` for 10^5.
@@ -25,8 +26,8 @@ struct Case {
     /// A byte that survived the cut was damaged, or the cut fell inside a
     /// frame or garbage run.
     damaged: bool,
-    /// A message that did not arrive intact has a later message of its
-    /// thread that did.
+    /// A message that did not arrive intact causally precedes one that
+    /// did.
     lost: bool,
     /// Messages whose frames arrived intact, in execution order.
     intact: Vec<Message>,
@@ -100,8 +101,8 @@ fn case(seed: u64) -> Case {
         !arrived[i]
             && messages
                 .iter()
-                .enumerate()
-                .any(|(j, n)| arrived[j] && n.thread() == m.thread() && n.seq() > m.seq())
+                .zip(&arrived)
+                .any(|(n, &a)| a && m.causally_precedes(n))
     });
     let intact = messages
         .iter()
@@ -134,7 +135,6 @@ fn check(bytes: Vec<u8>, initial: &ProgramState) -> (PipelineReport, ResilienceS
         u64::MAX,
         &Registry::disabled(),
     )
-    .expect("Algorithm A's frames always reassemble")
 }
 
 fn run(seeds: std::ops::Range<u64>) {
@@ -142,8 +142,11 @@ fn run(seeds: std::ops::Range<u64>) {
     for seed in seeds {
         let c = case(seed);
         let (report, summary) = check(c.bytes, &c.initial);
-        let exact = report.verdict.exactness().is_exact();
-        assert_eq!(exact, summary.is_clean(), "seed {seed}");
+        let exact = report.exactness().is_exact();
+        assert!(
+            summary.is_clean() || !exact,
+            "seed {seed}: transport loss under an Exact verdict"
+        );
         total += 1;
         if c.damaged || c.lost {
             faulty += 1;
@@ -159,10 +162,10 @@ fn run(seeds: std::ops::Range<u64>) {
             jmpax_instrument::encode_frame_v2(m, &mut in_order);
         }
         let (reference, _) = check(in_order.to_vec(), &c.initial);
-        let (a, r) = (report.verdict.analysis(), reference.verdict.analysis());
+        let (a, r) = (&report.analysis, &reference.analysis);
         assert_eq!(
-            (a.states, a.total_runs, a.violating_runs),
-            (r.states, r.total_runs, r.violating_runs),
+            (a.states_explored, a.total_runs, a.violating_runs),
+            (r.states_explored, r.total_runs, r.violating_runs),
             "seed {seed}: delivery order changed the verdict"
         );
     }

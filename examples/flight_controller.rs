@@ -31,8 +31,7 @@ fn main() {
     let mut syms = w.symbols.clone();
     let report = Pipeline::new(PipelineConfig::new())
         .check_execution(&out.execution, &w.spec, &mut syms)
-        .unwrap()
-        .report;
+        .unwrap();
     println!(
         "single-trace (JPaX-style) verdict: {}",
         if report.observed() {
@@ -43,7 +42,7 @@ fn main() {
     );
     println!();
     println!("predictive (JMPaX) analysis of the same execution:");
-    println!("{}", render_analysis(report.verdict.analysis(), &syms));
+    println!("{}", render_analysis(&report.analysis, &syms));
 
     // 3. Validate the prediction: search for a real schedule realizing the
     //    "radio drops between approval and landing" run.

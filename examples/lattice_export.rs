@@ -11,7 +11,6 @@ use jmpax::observer::{Pipeline, PipelineConfig};
 use jmpax::sched::run_fixed;
 use jmpax::spec::ProgramState;
 use jmpax::workloads::{landing, xyz};
-use jmpax::Relevance;
 
 fn export(
     name: &str,
@@ -25,30 +24,23 @@ fn export(
     let mut syms = workload.symbols.clone();
     let report = Pipeline::new(PipelineConfig::new())
         .check_execution(&out.execution, &workload.spec, &mut syms)
-        .unwrap()
-        .report;
+        .unwrap();
     let highlights = report
-        .verdict
-        .analysis()
+        .analysis
         .violations
         .iter()
         .map(|v| v.cut.clone())
         .collect();
 
-    let msgs = out
-        .execution
-        .instrument(Relevance::writes_of(workload.relevant_vars()));
     let initial = ProgramState::from_map(out.execution.initial.clone());
-    let lattice = Lattice::build(LatticeInput::from_messages(msgs, initial).unwrap());
+    let lattice = Lattice::build(LatticeInput::from_messages(report.messages, initial).unwrap());
     let dot = to_dot(&lattice, &syms, &DotOptions::with_highlights(highlights));
 
     let path = format!("{name}.dot");
     std::fs::write(&path, &dot)?;
     println!(
         "{path}: {} states, {} runs, {} violating — render with `dot -Tsvg {path}`",
-        lattice.node_count(),
-        lattice.count_runs(),
-        report.verdict.analysis().violating_runs,
+        report.analysis.states_explored, report.analysis.total_runs, report.analysis.violating_runs,
     );
     Ok(())
 }

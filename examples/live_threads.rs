@@ -94,17 +94,16 @@ fn main() {
         ProgramState::new(),
         msgs.len() as u64,
         &Registry::disabled(),
-    )
-    .unwrap();
+    );
 
     println!(
         "messages delivered out of order: {} relevant writes",
         report.messages.len()
     );
-    let a = report.verdict.analysis();
+    let a = &report.analysis;
     println!(
         "lattice: {} states, {} runs, {} violating",
-        a.states, a.total_runs, a.violating_runs
+        a.states_explored, a.total_runs, a.violating_runs
     );
     println!(
         "verdict: {}",

@@ -7,7 +7,7 @@
 //! ```
 
 use jmpax::instrument::Session;
-use jmpax::observer::{render_analysis, Observer};
+use jmpax::observer::{render_analysis, Pipeline};
 use jmpax::spec::ProgramState;
 use jmpax::{parse, Relevance, VarId};
 
@@ -39,18 +39,17 @@ fn main() {
         .monitor()
         .unwrap();
 
-    let mut observer = Observer::new(monitor, ProgramState::new());
-    observer.offer_all(session.drain_messages());
-    let verdict = observer.conclude().unwrap();
+    let report =
+        Pipeline::default().check_messages(monitor, ProgramState::new(), session.drain_messages());
 
     println!("observed execution: deposit first, receipt second — successful");
     println!();
-    println!("{}", render_analysis(verdict.analysis(), &syms));
-    if verdict.is_prediction() {
+    println!("{}", render_analysis(&report.analysis, &syms));
+    if report.is_prediction() {
         println!(
             "JMPaX verdict: VIOLATION PREDICTED — under another scheduling the \
              receipt can precede the deposit."
         );
     }
-    assert!(verdict.is_prediction());
+    assert!(report.is_prediction());
 }

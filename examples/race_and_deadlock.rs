@@ -5,9 +5,10 @@
 //!
 //! Both analyses run on a single, perfectly well-behaved execution:
 //!
-//! * the race detector compares each access against a happens-before built
-//!   from synchronization only, so a race is flagged even when the accesses
-//!   were seconds apart in the observed run;
+//! * the race detector (the analysis suite's `race` analysis, as run by
+//!   `jmpax check --analysis race`) compares each access against a
+//!   happens-before built from synchronization only, so a race is flagged
+//!   even when the accesses were seconds apart in the observed run;
 //! * the deadlock detector builds the lock-order graph, so the classic
 //!   dining-philosophers cycle is flagged from a run where nobody starved.
 //!
@@ -17,10 +18,31 @@
 
 use std::collections::BTreeSet;
 
-use jmpax::observer::{detect_races, predict_deadlocks};
+use jmpax::core::AnalysisKind;
+use jmpax::lattice::analyses::RaceFinding;
+use jmpax::lattice::Exactness;
+use jmpax::observer::{predict_deadlocks, Pipeline, PipelineConfig};
 use jmpax::sched::{run_fixed, run_round_robin, Expr, LockId, Program, Stmt};
 use jmpax::workloads::dining;
-use jmpax::{ThreadId, VarId};
+use jmpax::{Execution, Relevance, ThreadId, VarId};
+
+/// The races the analysis suite predicts from `execution`: every access
+/// is instrumented, and `sync` names the lock variables.
+fn detect_races(execution: &Execution, sync: &BTreeSet<VarId>) -> Vec<RaceFinding> {
+    let suite = Pipeline::new(PipelineConfig::new().sync_vars(sync.iter().copied()))
+        .check_stream_suite(
+            &[AnalysisKind::Race],
+            None,
+            execution.thread_count(),
+            Exactness::Exact,
+            execution.instrument(Relevance::Everything),
+        );
+    suite.reports[0]
+        .as_race()
+        .expect("a race report")
+        .findings
+        .clone()
+}
 
 fn main() {
     race_demo();

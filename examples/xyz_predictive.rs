@@ -5,10 +5,8 @@
 //! cargo run --example xyz_predictive
 //! ```
 
-use jmpax::lattice::{Lattice, LatticeInput};
 use jmpax::observer::{render_counterexample, Pipeline, PipelineConfig};
 use jmpax::sched::run_fixed;
-use jmpax::spec::ProgramState;
 use jmpax::workloads::xyz;
 use jmpax::Relevance;
 
@@ -40,45 +38,26 @@ fn main() {
     }
     println!();
 
-    // The computation lattice.
-    let initial = ProgramState::from_map(out.execution.initial.clone());
-    let lattice = Lattice::build(LatticeInput::from_messages(msgs, initial).unwrap());
-    println!(
-        "computation lattice: {} states in {} levels; {} runs",
-        lattice.node_count(),
-        lattice.level_count(),
-        lattice.count_runs()
-    );
-    for k in 0..lattice.level_count() {
-        let row: Vec<String> = lattice
-            .level(k)
-            .iter()
-            .map(|&n| {
-                let node = &lattice.nodes()[n];
-                format!("{} {}", node.cut, node.state)
-            })
-            .collect();
-        println!("  level {k}: {}", row.join("   "));
-    }
-    println!();
-
     // The predictive verdict with the violating run.
     let mut syms = w.symbols.clone();
     let report = Pipeline::new(PipelineConfig::new())
         .check_execution(&out.execution, &w.spec, &mut syms)
-        .unwrap()
-        .report;
-    let analysis = report.verdict.analysis();
+        .unwrap();
+    let analysis = &report.analysis;
+    println!(
+        "computation lattice: {} states in {} levels; {} runs",
+        analysis.states_explored,
+        analysis.levels(),
+        analysis.total_runs
+    );
     println!(
         "observed run successful: {} — violating runs in the lattice: {}",
         !report.observed(),
         analysis.violating_runs
     );
     for v in &analysis.violations {
-        if let Some(ce) = &v.counterexample {
-            println!("predicted counterexample run:");
-            print!("{}", render_counterexample(ce, &syms));
-        }
+        println!("predicted counterexample run:");
+        print!("{}", render_counterexample(&v.trail, &syms));
     }
     assert_eq!(analysis.violating_runs, 1);
 }

@@ -13,7 +13,9 @@
 //!   causal reordering.
 //! * [`spec`] — the past-time-LTL + interval specification language and
 //!   synthesized online monitors.
-//! * [`lattice`] — computation-lattice construction and all-runs analysis.
+//! * [`lattice`] — the level-by-level all-runs analysis engine, the
+//!   analysis suite (ptLTL, races, atomicity) and the full lattice as its
+//!   test oracle.
 //! * [`sched`] — a deterministic scheduler/interpreter for multithreaded
 //!   test programs (schedule sweeps, counterexample replay).
 //! * [`instrument`] — online instrumentation of real `std::thread` programs
@@ -47,7 +49,7 @@ pub use jmpax_core::{
 pub use jmpax_lattice::{
     analyze, to_dot, Analysis, Cut, DotOptions, Lattice, LatticeInput, StreamingAnalyzer,
 };
-pub use jmpax_observer::{detect_races, predict_deadlocks, LiveObserver, Observer, Verdict};
+pub use jmpax_observer::{predict_deadlocks, LiveObserver};
 pub use jmpax_spec::{parse, Formula, Monitor, MonitorState, ProgramState};
 pub use jmpax_telemetry::{Registry, Snapshot};
 pub use jmpax_trace::{causal_edges, TraceData, TraceKind, TraceRing, Tracer};

@@ -25,17 +25,16 @@ fn example1_fig5_six_states_three_runs_two_violations() {
     let mut syms = w.symbols.clone();
     let report = Pipeline::new(PipelineConfig::new())
         .check_execution(&out.execution, &w.spec, &mut syms)
-        .unwrap()
-        .report;
+        .unwrap();
 
     // The observed execution is successful...
     assert!(!report.observed(), "observed run must satisfy the property");
     // ...but the analysis predicts the two violations of Fig. 5.
-    let analysis = report.verdict.analysis();
-    assert_eq!(analysis.states, 6, "Fig. 5 has 6 states");
+    let analysis = &report.analysis;
+    assert_eq!(analysis.states_explored, 6, "Fig. 5 has 6 states");
     assert_eq!(analysis.total_runs, 3, "Fig. 5 has 3 runs");
     assert_eq!(analysis.violating_runs, 2, "2 runs violate (Example 1)");
-    assert!(report.verdict.is_prediction());
+    assert!(report.is_prediction());
 
     // Exactly 3 relevant messages: approved=1, landing=1, radio=0.
     assert_eq!(report.messages.len(), 3);
@@ -48,9 +47,8 @@ fn example1_counterexamples_cover_both_bad_scenarios() {
     let mut syms = w.symbols.clone();
     let report = Pipeline::new(PipelineConfig::new())
         .check_execution(&out.execution, &w.spec, &mut syms)
-        .unwrap()
-        .report;
-    let analysis = report.verdict.analysis();
+        .unwrap();
+    let analysis = &report.analysis;
 
     // The paper's two bad scenarios ("radio drops before approval" and
     // "radio drops between approval and landing") merge at the state
@@ -64,8 +62,11 @@ fn example1_counterexamples_cover_both_bad_scenarios() {
     let v = &analysis.violations[0];
     assert_eq!(v.state.get(radio).as_int(), 0, "radio down at violation");
     assert_eq!(v.state.get(landing_var).as_int(), 1, "landing started");
-    let ce = v.counterexample.as_ref().expect("counterexample present");
-    assert_eq!(ce.event_count(), 3);
+    assert!(
+        v.is_full_run(),
+        "a recorded run yields a full counterexample"
+    );
+    assert_eq!(v.event_count(), 3);
 }
 
 #[test]
@@ -77,15 +78,17 @@ fn example2_fig6_seven_states_three_runs_one_violation() {
     let mut syms = w.symbols.clone();
     let report = Pipeline::new(PipelineConfig::new())
         .check_execution(&out.execution, &w.spec, &mut syms)
-        .unwrap()
-        .report;
+        .unwrap();
 
     assert!(!report.observed(), "the paper's observed run is successful");
-    let analysis = report.verdict.analysis();
-    assert_eq!(analysis.states, 7, "Fig. 6 has 7 states S0,0..S2,2");
+    let analysis = &report.analysis;
+    assert_eq!(
+        analysis.states_explored, 7,
+        "Fig. 6 has 7 states S0,0..S2,2"
+    );
     assert_eq!(analysis.total_runs, 3);
     assert_eq!(analysis.violating_runs, 1);
-    assert!(report.verdict.is_prediction());
+    assert!(report.is_prediction());
 }
 
 #[test]

@@ -16,8 +16,7 @@ fn observe(sink: &FrameSink, monitor: Monitor, initial: ProgramState) -> Pipelin
         initial,
         64,
         &Registry::disabled(),
-    )
-    .unwrap();
+    );
     assert!(summary.is_clean(), "{summary:?}");
     report
 }
@@ -90,8 +89,11 @@ fn real_threads_example2_predicts_violation_over_the_wire() {
     assert_eq!(report.messages.len(), 4, "x=0, z=1, y=1, x=1");
     assert!(!report.observed(), "the forced interleaving is successful");
     assert!(report.predicted(), "the violation must be predicted");
-    let a = report.verdict.analysis();
-    assert_eq!(a.states, 7, "real threads reproduce the Fig. 6 lattice");
+    let a = &report.analysis;
+    assert_eq!(
+        a.states_explored, 7,
+        "real threads reproduce the Fig. 6 lattice"
+    );
     assert_eq!(a.total_runs, 3);
     assert_eq!(a.violating_runs, 1);
 }
@@ -134,12 +136,12 @@ fn real_threads_raced_prediction_dominates_observation() {
         // contains the bad order, so prediction fires on every round,
         // regardless of the actual interleaving.
         assert!(report.predicted(), "round {round}: prediction must fire");
-        assert_eq!(report.verdict.analysis().total_runs, 2);
-        assert_eq!(report.verdict.analysis().violating_runs, 1);
+        assert_eq!(report.analysis.total_runs, 2);
+        assert_eq!(report.analysis.violating_runs, 1);
         if report.observed() {
             // When the OS happened to produce the bad order, the verdict
             // must be classified as observed, not predicted-only.
-            assert!(!report.verdict.is_prediction());
+            assert!(!report.is_prediction());
         }
     }
 }

@@ -3,7 +3,7 @@
 //! Shuffling the message stream must never change the verdict, the lattice
 //! shape, or the violating-run count.
 
-use jmpax::observer::Observer;
+use jmpax::observer::Pipeline;
 use jmpax::sched::run_random;
 use jmpax::spec::ProgramState;
 use jmpax::workloads::{synthetic, xyz};
@@ -21,17 +21,18 @@ fn every_shuffle_of_example2_gives_the_same_verdict() {
     let initial = ProgramState::from_map(out.execution.initial.clone());
     let monitor = w.monitor();
 
+    let pipeline = Pipeline::default();
     let mut rng = StdRng::seed_from_u64(7);
     for round in 0..50 {
         let mut shuffled = msgs.clone();
         shuffled.shuffle(&mut rng);
-        let mut obs = Observer::new(monitor.clone(), initial.clone());
-        obs.offer_all(shuffled);
-        assert!(!obs.has_gaps(), "round {round}: all messages delivered");
-        let verdict = obs.conclude().unwrap();
-        let a = verdict.analysis();
+        let a = pipeline.check_stream(monitor.clone(), &initial, 2, shuffled);
+        assert!(
+            a.completed && a.exactness.is_exact(),
+            "round {round}: all messages delivered"
+        );
         assert_eq!(
-            (a.states, a.total_runs, a.violating_runs),
+            (a.states_explored, a.total_runs, a.violating_runs),
             (7, 3, 1),
             "round {round}: shuffle changed the analysis"
         );
@@ -57,19 +58,15 @@ fn shuffled_synthetic_workloads_match_in_order_analysis() {
         let initial = ProgramState::from_map(out.execution.initial.clone());
         let monitor = w.monitor();
 
-        let mut reference = Observer::new(monitor.clone(), initial.clone());
-        reference.offer_all(msgs.clone());
-        let ref_analysis = reference.conclude().unwrap();
-        let ref_a = ref_analysis.analysis();
+        let threads = out.execution.thread_count();
+        let pipeline = Pipeline::default();
+        let ref_a = pipeline.check_stream(monitor.clone(), &initial, threads, msgs.clone());
 
         for _ in 0..5 {
             let mut shuffled = msgs.clone();
             shuffled.shuffle(&mut rng);
-            let mut obs = Observer::new(monitor.clone(), initial.clone());
-            obs.offer_all(shuffled);
-            let verdict = obs.conclude().unwrap();
-            let a = verdict.analysis();
-            assert_eq!(a.states, ref_a.states, "seed {seed}");
+            let a = pipeline.check_stream(monitor.clone(), &initial, threads, shuffled);
+            assert_eq!(a.states_explored, ref_a.states_explored, "seed {seed}");
             assert_eq!(a.total_runs, ref_a.total_runs, "seed {seed}");
             assert_eq!(a.violating_runs, ref_a.violating_runs, "seed {seed}");
         }
