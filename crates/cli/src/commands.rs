@@ -170,7 +170,8 @@ USAGE:
         sequential path alone); a comma list (--workers 1,2,4,8) sweeps
         exactly the listed counts. Asserts
         every report is bit-identical to the first and prints per-run
-        wall time, formula_evals / eval_cache_hits / steals counters,
+        wall time, ns per lattice node, formula_evals / eval_cache_hits
+        / steals counters,
         the speedup (first vs last run), and per-stage p50/p95/p99
         latencies in a machine-readable `bench:` format.
         --no-eval-cache disables the monitor step cache (measures the
@@ -1389,9 +1390,10 @@ fn bench(args: &Args) -> (i32, String) {
     for run in &report.runs {
         let _ = writeln!(
             out,
-            "bench: workers={} wall_us={} formula_evals={} eval_cache_hits={} steals={}",
+            "bench: workers={} wall_us={} ns_per_node={} formula_evals={} eval_cache_hits={} steals={}",
             run.workers,
             run.wall_ns / 1_000,
+            run.wall_ns / run.states.max(1),
             run.formula_evals,
             run.eval_cache_hits,
             run.steals
@@ -1945,6 +1947,7 @@ T1 write b 0
         }
         assert!(out.contains("identical=yes"), "{out}");
         assert!(out.contains("formula_evals="), "{out}");
+        assert!(out.contains("ns_per_node="), "{out}");
     }
 
     #[test]
@@ -1984,8 +1987,11 @@ T1 write b 0
         path
     }
 
+    /// Three repeats: each wall time is a minimum, so one preemption of a
+    /// sub-millisecond run by a concurrently running test cannot read as a
+    /// tenfold regression.
     const SMALL_BENCH: &[&str] = &[
-        "bench", "--threads", "4", "--rounds", "2", "--workers", "2", "--repeat", "1",
+        "bench", "--threads", "4", "--rounds", "2", "--workers", "2", "--repeat", "3",
     ];
 
     #[test]

@@ -99,8 +99,12 @@ pub fn analyze_lattice(lattice: &Lattice, monitor: &Monitor) -> LatticeAnalysis 
             for &(succ, _) in &lattice.nodes()[nid].succs {
                 violated[succ] = violated[succ].saturating_add(violated[nid]);
                 let succ_state = &lattice.nodes()[succ].state;
+                let valuation = monitor.valuation(succ_state);
                 for &(mem, count) in &mems {
-                    let (next_mem, ok) = monitor.step_cached(mem, succ_state, &mut cache);
+                    let (next_mem, ok) = match valuation {
+                        Some(v) => monitor.step_valuation(mem, v, &mut cache),
+                        None => monitor.step(mem, succ_state),
+                    };
                     if ok {
                         match alive[succ].entry(next_mem) {
                             Entry::Occupied(mut e) => *e.get_mut() = e.get().saturating_add(count),

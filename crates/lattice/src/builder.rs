@@ -17,8 +17,6 @@
 //! ([`AnalysisConfig::history`]): with every level retained, a trail is a
 //! full counterexample run.
 
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use jmpax_core::{CausalBuffer, Message, ThreadId};
@@ -28,7 +26,8 @@ use jmpax_trace::{TraceKind, TraceRing, Tracer};
 
 use crate::config::{AnalysisConfig, DEFAULT_SHARD_GRANULARITY};
 use crate::cut::Cut;
-use crate::parallel::{self, ExpansionPool, LevelShared};
+use crate::frontier::{self, Expand, Level, Scratch, Seed, Stats, NONE};
+use crate::parallel::{ExpansionPool, LevelShared};
 use crate::reassemble::Exactness;
 
 /// One step of a violating run: the cut and global state reached, and the
@@ -177,127 +176,6 @@ impl StreamReport {
     }
 }
 
-#[derive(Clone, Debug)]
-pub(crate) struct FrontierNode {
-    pub(crate) state: ProgramState,
-    /// Alive monitor memories reaching this cut, in ascending memory
-    /// order — the order both expansion paths step them in.
-    pub(crate) mems: Vec<Alive>,
-    /// Dead memories (for violation dedup).
-    pub(crate) dead: HashSet<MonitorState>,
-    /// Run prefixes reaching this cut that already violated (saturating).
-    pub(crate) violated: u128,
-}
-
-/// One alive monitor memory at a frontier cut.
-#[derive(Clone, Debug)]
-pub(crate) struct Alive {
-    pub(crate) memory: MonitorState,
-    /// Run prefixes reaching the cut in this memory (saturating).
-    pub(crate) runs: u128,
-    /// One predecessor `(cut, memory)`, for trail reconstruction through
-    /// the retained history; `None` at the initial cut.
-    pub(crate) parent: Option<(Cut, MonitorState)>,
-}
-
-impl FrontierNode {
-    pub(crate) fn new(state: ProgramState) -> Self {
-        Self {
-            state,
-            mems: Vec::new(),
-            dead: HashSet::new(),
-            violated: 0,
-        }
-    }
-
-    /// The alive memory `memory`, if any.
-    fn alive(&self, memory: MonitorState) -> Option<&Alive> {
-        let i = self.mems.binary_search_by_key(&memory, |a| a.memory).ok()?;
-        Some(&self.mems[i])
-    }
-
-    /// Runs every prefix reaching `src` at `src_cut` across one edge into
-    /// this node at `cut`: steps each alive memory, carrying its run count
-    /// to the successor memory or, when the property fails, to `violated`
-    /// (a first failure per memory becomes a violation seed). Shared by
-    /// the sequential path and the pool's shards. Returns the monitor
-    /// steps taken.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn absorb(
-        &mut self,
-        cut: &Cut,
-        src_cut: &Cut,
-        src: &FrontierNode,
-        monitor: &Monitor,
-        mut cache: Option<&mut StepCache>,
-        ring: &mut TraceRing,
-        level: u64,
-        seeds: &mut Vec<ViolationSeed>,
-    ) -> u64 {
-        self.violated = self.violated.saturating_add(src.violated);
-        for &Alive { memory, runs, .. } in &src.mems {
-            let (next, ok) = match cache.as_deref_mut() {
-                Some(cache) => monitor.step_cached(memory, &self.state, cache),
-                None => monitor.step(memory, &self.state),
-            };
-            if ring.is_enabled() {
-                ring.record(TraceKind::PropertyEvaluated {
-                    level,
-                    violated: !ok,
-                });
-            }
-            if ok {
-                match self.mems.binary_search_by_key(&next, |a| a.memory) {
-                    Ok(i) => self.mems[i].runs = self.mems[i].runs.saturating_add(runs),
-                    Err(i) => self.mems.insert(
-                        i,
-                        Alive {
-                            memory: next,
-                            runs,
-                            parent: Some((src_cut.clone(), memory)),
-                        },
-                    ),
-                }
-            } else {
-                self.violated = self.violated.saturating_add(runs);
-                if self.dead.insert(next) {
-                    seeds.push(ViolationSeed {
-                        cut: cut.clone(),
-                        state: self.state.clone(),
-                        memory: next,
-                        pred: (src_cut.clone(), memory),
-                    });
-                }
-            }
-        }
-        src.mems.len() as u64
-    }
-}
-
-/// A violation discovered during level expansion, before its trail is
-/// reconstructed. Trails walk the retained history, which only the
-/// analyzer owns, so expansion (sequential or sharded) reports seeds and
-/// the analyzer finishes them on the main thread.
-pub(crate) struct ViolationSeed {
-    pub(crate) cut: Cut,
-    pub(crate) state: ProgramState,
-    pub(crate) memory: MonitorState,
-    /// The `(cut, memory)` of the predecessor whose step failed.
-    pub(crate) pred: (Cut, MonitorState),
-}
-
-/// The merged outcome of expanding one sealed level, identical in shape
-/// whether the sequential path or the sharded worker pool produced it.
-#[derive(Default)]
-struct LevelExpansion {
-    next: HashMap<Cut, FrontierNode>,
-    seeds: Vec<ViolationSeed>,
-    new_states: u64,
-    deduped: u64,
-    evals: u64,
-    non_writes: u64,
-}
-
 /// Online predictive analyzer with two-level storage.
 ///
 /// ```
@@ -321,7 +199,15 @@ struct LevelExpansion {
 #[derive(Debug)]
 pub struct StreamingAnalyzer {
     monitor: Arc<Monitor>,
+    /// The initial global state, for rebuilding reported states.
+    initial: ProgramState,
     threads: usize,
+    /// Slot of each variable id the monitor reads ([`frontier::NONE`]
+    /// for the others).
+    slot_of: Arc<[u32]>,
+    /// The formula's atoms fit one packed `u64` valuation, so monitor
+    /// steps can go through the step cache.
+    packed: bool,
     buffer: CausalBuffer,
     /// Causally delivered messages per thread (contiguous prefixes).
     /// Behind an `Arc` so parallel levels share it with the pool without
@@ -330,9 +216,16 @@ pub struct StreamingAnalyzer {
     delivered: Arc<Vec<Vec<Message>>>,
     /// Threads whose streams are complete.
     ended: Vec<bool>,
-    frontier: HashMap<Cut, FrontierNode>,
+    frontier: Level,
+    /// The buffer the next level is built in, swapped with `frontier` at
+    /// every seal, so the steady state allocates nothing.
+    spare: Level,
+    /// Successor index and in-edge table, reused level to level.
+    scratch: Scratch,
+    /// Violation seeds of the level being sealed (reused buffer).
+    seeds: Vec<Seed>,
     /// Retired levels, newest last, bounded by `history`.
-    past: std::collections::VecDeque<HashMap<Cut, FrontierNode>>,
+    past: std::collections::VecDeque<Level>,
     /// How many retired levels to keep for violation trails.
     history: usize,
     violations: Vec<Violation>,
@@ -365,6 +258,7 @@ pub struct StreamingAnalyzer {
     tel_violations: Counter,
     tel_width: Histogram,
     tel_peak: Gauge,
+    tel_bytes: Gauge,
     tel_pruned: Counter,
     tel_non_writes: Counter,
     /// Per-level stage latencies: frontier expansion
@@ -405,9 +299,10 @@ impl StreamingAnalyzer {
     /// merged into an already-created node of the next level),
     /// `lattice.levels_built`, `lattice.violations`,
     /// `lattice.frontier_width` (histogram, one sample per completed
-    /// level), `lattice.peak_frontier` (gauge), and per-level stage
-    /// latency histograms `lattice.stage.expand_ns` /
-    /// `lattice.stage.seal_ns`.
+    /// level), `lattice.peak_frontier` (gauge),
+    /// `lattice.frontier_bytes` (gauge, [`StreamingAnalyzer::frontier_bytes`]
+    /// at each seal), and per-level stage latency histograms
+    /// `lattice.stage.expand_ns` / `lattice.stage.seal_ns`.
     #[must_use]
     pub fn with_telemetry(
         monitor: Monitor,
@@ -426,45 +321,50 @@ impl StreamingAnalyzer {
     ) -> Self {
         let (mem0, ok0) = monitor.initial(initial);
         let bottom = Cut::bottom(threads);
-        let mut frontier = HashMap::new();
         let mut violations = Vec::new();
-        let mut node = FrontierNode::new(initial.clone());
-        if ok0 {
-            node.mems.push(Alive {
-                memory: mem0,
-                runs: 1,
-                parent: None,
-            });
-        } else {
-            node.dead.insert(mem0);
-            node.violated = 1;
+        if !ok0 {
             violations.push(Violation {
                 cut: bottom.clone(),
                 state: initial.clone(),
                 memory: mem0,
                 trail: vec![RunStep {
-                    cut: bottom.clone(),
+                    cut: bottom,
                     thread: None,
                     message: None,
                     state: initial.clone(),
                 }],
             });
         }
-        frontier.insert(bottom, node);
+        let vars = monitor.variables();
+        let mut slot_of = vec![NONE; vars.last().map_or(0, |v| v.index() + 1)];
+        for (slot, v) in vars.iter().enumerate() {
+            slot_of[v.index()] = slot as u32;
+        }
+        let slots = monitor.slots(initial);
+        let valuation = monitor.slot_valuation(&slots);
+        let frontier = Level::bottom(threads, &slots, valuation.unwrap_or(0), mem0, ok0);
         let tel_states = registry.counter("lattice.states_explored");
         tel_states.inc(); // the initial cut is a lattice node
         let tel_peak = registry.gauge("lattice.peak_frontier");
         tel_peak.set(1);
+        let tel_bytes = registry.gauge("lattice.frontier_bytes");
+        tel_bytes.set(frontier.bytes());
         let tel_violations = registry.counter("lattice.violations");
         tel_violations.add(violations.len() as u64);
         let tel_cache_hits = registry.counter("spec.eval_cache_hits");
         Self {
             monitor: Arc::new(monitor),
+            initial: initial.clone(),
             threads,
+            slot_of: slot_of.into(),
+            packed: valuation.is_some(),
             buffer: CausalBuffer::new(),
             delivered: Arc::new(vec![Vec::new(); threads]),
             ended: vec![false; threads],
+            spare: Level::new(threads, slots.len()),
             frontier,
+            scratch: Scratch::default(),
+            seeds: Vec::new(),
             past: std::collections::VecDeque::new(),
             history: 0,
             violations,
@@ -485,6 +385,7 @@ impl StreamingAnalyzer {
             tel_violations,
             tel_width: registry.histogram("lattice.frontier_width"),
             tel_peak,
+            tel_bytes,
             tel_pruned: registry.counter("lattice.frontier_pruned"),
             tel_non_writes: registry.counter("lattice.non_writes_skipped"),
             tel_expand: registry.histogram("lattice.stage.expand_ns"),
@@ -609,50 +510,85 @@ impl StreamingAnalyzer {
         self
     }
 
-    /// Completes `seed` with its trail: its violating step, preceded by
-    /// the predecessor in `current` and its ancestors in the retained
-    /// history, as far back as that reaches.
-    fn violation_for(
-        &self,
-        current: &HashMap<Cut, FrontierNode>,
-        seed: ViolationSeed,
-    ) -> Violation {
-        let mut rev = vec![(seed.cut.clone(), seed.state.clone())];
+    /// The global state at `cut`: the initial state plus every write the
+    /// cut consumed, replayed in a linear extension of the causal order
+    /// (writes of one variable are causally ordered, so any linear
+    /// extension yields the same state).
+    fn state_at(&self, cut: &[u32]) -> ProgramState {
+        let mut state = self.initial.clone();
+        let mut at = vec![0u32; cut.len()];
+        let mut moved = true;
+        while moved {
+            moved = false;
+            for t in 0..cut.len() {
+                while at[t] < cut[t] {
+                    let Some(m) = frontier::enabled(&self.delivered, &at, t) else {
+                        break;
+                    };
+                    if let Some((var, value)) = m.var().zip(m.written_value()) {
+                        state.set(var, value);
+                    }
+                    at[t] += 1;
+                    moved = true;
+                }
+            }
+        }
+        debug_assert_eq!(at, cut, "a frontier cut is consistent");
+        state
+    }
+
+    /// Completes `seed` (a row of `next`) with its trail: its violating
+    /// step, preceded by the predecessor in the frontier and its
+    /// ancestors in the retained history, as far back as that reaches.
+    /// States are rebuilt from the delivered writes.
+    fn violation_for(&self, next: &Level, seed: Seed) -> Violation {
+        let mut rev = vec![next.cut(seed.row as usize).to_vec()];
+        // The arrival thread of the oldest step kept so far.
+        let mut arrival = None;
         let mut cursor = Some(seed.pred);
-        let mut levels = std::iter::once(current).chain(self.past.iter().rev());
-        while let Some((cut, mem)) = cursor.take() {
-            let Some(node) = levels.next().and_then(|l| l.get(&cut)) else {
-                cursor = Some((cut, mem));
+        for level in std::iter::once(&self.frontier).chain(self.past.iter().rev()) {
+            let Some((row, memory)) = cursor else {
                 break;
             };
-            cursor = node.alive(mem).and_then(|a| a.parent.clone());
-            rev.push((cut, node.state.clone()));
+            rev.push(level.cut(row as usize).to_vec());
+            (arrival, cursor) = level.arrival(row as usize, memory);
         }
-        // `cursor` now holds the cut before the oldest kept step, if the
-        // history ran out before the initial state.
-        let mut before = cursor.map(|(cut, _)| cut);
-        let trail = rev
-            .into_iter()
-            .rev()
-            .map(|(cut, state)| {
-                let thread = before.as_ref().and_then(|b| b.advancing_thread(&cut));
-                let message = thread.and_then(|t| {
-                    self.delivered[t.index()]
-                        .get(cut.get(t) as usize - 1)
-                        .cloned()
-                });
-                before = Some(cut.clone());
-                RunStep {
-                    cut,
-                    thread,
-                    message,
-                    state,
+        let mut trail: Vec<RunStep> = Vec::with_capacity(rev.len());
+        for counts in rev.into_iter().rev() {
+            let cut = Cut::from_counts(counts);
+            let thread = match trail.last() {
+                Some(prev) => prev.cut.advancing_thread(&cut),
+                None => arrival.map(ThreadId),
+            };
+            let message = thread.and_then(|t| {
+                self.delivered[t.index()]
+                    .get(cut.get(t) as usize - 1)
+                    .cloned()
+            });
+            let state = match trail.last() {
+                Some(prev) => {
+                    let mut state = prev.state.clone();
+                    if let Some((var, value)) = message
+                        .as_ref()
+                        .and_then(|m| m.var().zip(m.written_value()))
+                    {
+                        state.set(var, value);
+                    }
+                    state
                 }
-            })
-            .collect();
+                None => self.state_at(cut.as_slice()),
+            };
+            trail.push(RunStep {
+                cut,
+                thread,
+                message,
+                state,
+            });
+        }
+        let last = trail.last().expect("a trail holds the violating step");
         Violation {
-            cut: seed.cut,
-            state: seed.state,
+            cut: last.cut.clone(),
+            state: last.state.clone(),
             memory: seed.memory,
             trail,
         }
@@ -668,6 +604,10 @@ impl StreamingAnalyzer {
                 Arc::make_mut(&mut self.delivered).resize_with(t + 1, Vec::new);
                 self.ended.resize(t + 1, false);
                 self.threads = t + 1;
+                self.frontier.widen(t + 1);
+                for level in &mut self.past {
+                    level.widen(t + 1);
+                }
             }
             if self.trace_ring.is_enabled() {
                 self.trace_ring.record(TraceKind::Ingested(m.trace_ref()));
@@ -703,15 +643,8 @@ impl StreamingAnalyzer {
         self.advance();
         let completed = self.buffer.is_drained()
             && self.frontier.len() == 1
-            && self.frontier.keys().next().is_some_and(|c| self.is_top(c));
-        let (mut total_runs, mut violating_runs) = (0u128, 0u128);
-        for node in self.frontier.values() {
-            for alive in &node.mems {
-                total_runs = total_runs.saturating_add(alive.runs);
-            }
-            total_runs = total_runs.saturating_add(node.violated);
-            violating_runs = violating_runs.saturating_add(node.violated);
-        }
+            && self.is_top(self.frontier.cut(0));
+        let (total_runs, violating_runs) = self.frontier.run_counts();
         StreamReport {
             violations: self.violations,
             states_explored: self.states_explored,
@@ -738,6 +671,17 @@ impl StreamingAnalyzer {
         self.frontier.len()
     }
 
+    /// Bytes the frontier arena and the retained history hold — the
+    /// `lattice.frontier_bytes` gauge. Each lattice node costs
+    /// `4·threads + 8·slots + 32` bytes (cut, slot values, valuation,
+    /// violated-run count, range ends), plus 32 per alive monitor memory
+    /// (48 with history, which keeps a parent per memory) and 8 per dead
+    /// memory; `slots` is the number of variables the monitor reads.
+    #[must_use]
+    pub fn frontier_bytes(&self) -> u64 {
+        self.frontier.bytes() + self.past.iter().map(Level::bytes).sum::<u64>()
+    }
+
     /// Lattice levels sealed (frontier advances performed) so far. The
     /// analysis-suite driver polls this to fan `on_level_sealed`
     /// notifications out to co-running analyses.
@@ -746,25 +690,21 @@ impl StreamingAnalyzer {
         self.levels_built
     }
 
-    fn is_top(&self, cut: &Cut) -> bool {
-        (0..self.threads).all(|t| cut.get(ThreadId(t as u32)) as usize == self.delivered[t].len())
+    fn is_top(&self, cut: &[u32]) -> bool {
+        (0..self.threads)
+            .all(|t| cut.get(t).copied().unwrap_or(0) as usize == self.delivered[t].len())
             && self.ended.iter().all(|&e| e)
     }
 
-    /// True when `cut` can be fully expanded with the messages currently
-    /// delivered: for each thread either the next message is available or
-    /// the thread has ended at exactly this position.
-    fn expandable(&self, cut: &Cut) -> bool {
+    /// True when every frontier cut can be fully expanded with the
+    /// messages currently delivered: for each thread either the next
+    /// message of every cut is available or the thread has ended.
+    fn expandable(&self) -> bool {
+        let max = self.frontier.max_counts();
         (0..self.threads).all(|t| {
-            let consumed = cut.get(ThreadId(t as u32)) as usize;
+            let consumed = max.get(t).copied().unwrap_or(0) as usize;
             consumed < self.delivered[t].len() || self.ended[t]
         })
-    }
-
-    /// The message enabled from `cut` on thread `t`, if consistent. Shared
-    /// with the sharded expansion workers, which run the same check.
-    fn enabled(&self, cut: &Cut, t: usize) -> Option<&Message> {
-        parallel::enabled(&self.delivered, cut, t)
     }
 
     /// The worker count for a level of `width` cuts: sequential below the
@@ -781,76 +721,48 @@ impl StreamingAnalyzer {
         (width / self.shard_granularity).clamp(1, cap)
     }
 
-    /// Expands one sealed level on the calling thread. Source cuts and
-    /// monitor memories are visited in ascending order — the same total
-    /// order the parallel merge sorts contributions into — so both paths
-    /// build identical frontiers, parent maps, and seed sequences.
-    fn expand_sequential(
-        &mut self,
-        current: &HashMap<Cut, FrontierNode>,
-        level_index: u64,
-    ) -> LevelExpansion {
-        let mut out = LevelExpansion::default();
-        let mut sources: Vec<&Cut> = current.keys().collect();
-        sources.sort();
-        for cut in sources {
-            let node = &current[cut];
+    /// Expands the frontier into `self.spare` on the calling thread,
+    /// leaving the seeds in `self.seeds`.
+    fn expand_sequential(&mut self, level_index: u64) -> Stats {
+        let expand = Expand {
+            delivered: &self.delivered,
+            monitor: &self.monitor,
+            slot_of: &self.slot_of,
+            cached: self.packed && self.eval_cache,
+            keep_parents: self.history > 0,
+            level: level_index,
+        };
+        let (src, next, scratch) = (&self.frontier, &mut self.spare, &mut self.scratch);
+        let mut stats = Stats::default();
+        scratch.reset(src.len());
+        for row in 0..src.len() {
+            let cut = src.cut(row);
             for t in 0..self.threads {
-                let Some(msg) = parallel::enabled(&self.delivered, cut, t) else {
-                    continue;
-                };
-                let update = msg.var().zip(msg.written_value());
-                if update.is_none() {
-                    // A relevant message that is not a write (exotic
-                    // relevance policy) cannot update the global state;
-                    // step over it as a stutter instead of aborting a
-                    // long-running analysis.
-                    out.non_writes += 1;
+                if frontier::enabled(&self.delivered, cut, t).is_some() {
+                    expand.discover(src, row as u32, t, next, scratch, &mut stats);
                 }
-                let succ_cut = cut.advanced(ThreadId(t as u32));
-                let succ = match out.next.entry(succ_cut.clone()) {
-                    Entry::Occupied(e) => {
-                        out.deduped += 1;
-                        e.into_mut()
-                    }
-                    Entry::Vacant(e) => {
-                        out.new_states += 1;
-                        // States are uniquely determined by the cut, so
-                        // the first visiting edge computes the node's
-                        // state once and later edges reuse it.
-                        e.insert(FrontierNode::new(match update {
-                            Some((var, value)) => node.state.updated(var, value),
-                            None => node.state.clone(),
-                        }))
-                    }
-                };
-                out.evals += succ.absorb(
-                    &succ_cut,
-                    cut,
-                    node,
-                    &self.monitor,
-                    self.eval_cache.then_some(&mut self.step_cache),
-                    &mut self.trace_ring,
-                    level_index,
-                    &mut out.seeds,
-                );
             }
         }
-        out
+        expand.absorb(
+            src,
+            next,
+            scratch,
+            Some(&mut self.step_cache),
+            &mut self.trace_ring,
+            &mut self.seeds,
+            &mut stats,
+        );
+        stats
     }
 
-    /// Expands one sealed level on the persistent worker pool (lazily
-    /// spawning it on first use) and merges the disjoint shard results.
-    /// Consumes and returns the sealed level — the pool borrows it via an
-    /// `Arc` that is reclaimed once every shard reports — and records the
-    /// `lattice.parallel.*` metric family. Every analysis-visible output
-    /// is bit-identical to [`StreamingAnalyzer::expand_sequential`].
-    fn expand_parallel(
-        &mut self,
-        current: HashMap<Cut, FrontierNode>,
-        level_index: u64,
-        workers: usize,
-    ) -> (LevelExpansion, HashMap<Cut, FrontierNode>) {
+    /// Expands the frontier on the persistent worker pool (lazily
+    /// spawning it on first use) and appends the disjoint shard levels
+    /// into `self.spare`, seeds into `self.seeds`. The frontier travels to
+    /// the pool inside an `Arc` and comes back once every shard reports.
+    /// Records the `lattice.parallel.*` metric family. Every
+    /// analysis-visible output is bit-identical to
+    /// [`StreamingAnalyzer::expand_sequential`].
+    fn expand_parallel(&mut self, level_index: u64, workers: usize) -> Stats {
         let rings: Vec<TraceRing> = if self.tracer.is_enabled() {
             (0..workers)
                 .map(|w| self.tracer.ring(&format!("lattice.shard{w}")))
@@ -858,16 +770,18 @@ impl StreamingAnalyzer {
         } else {
             (0..workers).map(|_| TraceRing::disabled()).collect()
         };
-        let mut sources: Vec<(Cut, FrontierNode)> = current.into_iter().collect();
-        sources.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let sources = std::mem::take(&mut self.frontier);
         let shared = Arc::new(LevelShared::new(
             sources,
             Arc::clone(&self.delivered),
             Arc::clone(&self.monitor),
+            Arc::clone(&self.slot_of),
             self.threads,
+            self.slot_count(),
             workers,
             level_index,
-            self.eval_cache,
+            self.packed && self.eval_cache,
+            self.history > 0,
             self.tel_cache_hits.clone(),
         ));
         let pool = Arc::clone(
@@ -876,9 +790,10 @@ impl StreamingAnalyzer {
         );
         let reports = pool.expand(&shared, rings);
         // Every worker dropped its clone before reporting, so the level
-        // (sources included) comes back without copying. The fallback
-        // clone is unreachable in practice.
-        let sources = Arc::try_unwrap(shared).map_or_else(|arc| arc.sources.clone(), |s| s.sources);
+        // comes back without copying. The fallback clone is unreachable
+        // in practice.
+        self.frontier =
+            Arc::try_unwrap(shared).map_or_else(|arc| arc.sources.clone(), |s| s.sources);
         self.tel_parallel_levels.inc();
         self.tel_workers.set(workers as u64);
         let max_assigned = reports.iter().map(|r| r.assigned).max().unwrap_or(0);
@@ -886,22 +801,27 @@ impl StreamingAnalyzer {
         if let Some(spread) = ((max_assigned - min_assigned) * 100).checked_div(max_assigned) {
             self.tel_imbalance.set(spread);
         }
-        let mut out = LevelExpansion::default();
+        let mut stats = Stats::default();
         for r in reports {
             self.tel_shard_width.record(r.assigned);
             self.tel_merge.record(r.merge_ns);
             self.tel_steals.add(r.steals);
             self.tel_park.record(r.park_ns);
-            out.new_states += r.new_states;
-            out.deduped += r.deduped;
-            out.evals += r.evals;
-            out.non_writes += r.non_writes;
-            // Shards own disjoint slices of the successor space, so this
-            // union never collides.
-            out.next.extend(r.next);
-            out.seeds.extend(r.seeds);
+            stats.add(r.stats);
+            // Shards own disjoint slices of the successor space, so the
+            // appended rows never collide.
+            let base = self.spare.append(&r.next);
+            self.seeds.extend(r.seeds.into_iter().map(|s| Seed {
+                row: s.row + base,
+                ..s
+            }));
         }
-        (out, sources.into_iter().collect())
+        stats
+    }
+
+    /// Slots per row: the variables the monitor reads.
+    fn slot_count(&self) -> usize {
+        self.monitor.variables().len()
     }
 
     /// Advances the frontier level by level while every frontier cut is
@@ -917,14 +837,14 @@ impl StreamingAnalyzer {
             // sequential/parallel dispatch below, so a level is always
             // sealed — every cut expandable — before any worker sees it;
             // sharding never observes a partial level.
-            if !self.frontier.keys().all(|c| self.expandable(c)) {
+            if !self.expandable() {
                 return;
             }
             // Terminal frontier: single top cut with nothing enabled.
-            let any_successor = self
-                .frontier
-                .keys()
-                .any(|cut| (0..self.threads).any(|t| self.enabled(cut, t).is_some()));
+            let any_successor = (0..self.frontier.len()).any(|row| {
+                let cut = self.frontier.cut(row);
+                (0..self.threads).any(|t| frontier::enabled(&self.delivered, cut, t).is_some())
+            });
             if !any_successor {
                 return;
             }
@@ -932,58 +852,63 @@ impl StreamingAnalyzer {
             let level_start = self.trace_ring.span_start();
             let level_index = u64::from(self.levels_built) + 1;
             let mut level_pruned = 0u64;
-            let current = std::mem::take(&mut self.frontier);
-            let workers = self.level_workers(current.len());
+            let workers = self.level_workers(self.frontier.len());
+            let width = self.slot_count();
+            self.spare.reset(self.threads, width);
+            self.seeds.clear();
             let expand_span = self.tel_expand.start_span();
-            let (mut exp, current) = if workers > 1 {
-                self.expand_parallel(current, level_index, workers)
+            let stats = if workers > 1 {
+                self.expand_parallel(level_index, workers)
             } else {
-                let exp = self.expand_sequential(&current, level_index);
-                (exp, current)
+                self.expand_sequential(level_index)
             };
             expand_span.finish();
             // The memo is level-scoped: transitions rarely recur across
             // seals, so clearing keeps the table at working-set size.
             self.step_cache.clear();
             let seal_span = self.tel_seal.start_span();
-            self.states_explored += exp.new_states;
-            self.tel_states.add(exp.new_states);
-            self.tel_deduped.add(exp.deduped);
-            self.non_writes_skipped += exp.non_writes;
-            self.tel_non_writes.add(exp.non_writes);
-            // Violations surface in (cut, memory) order — the per-successor
-            // application order on both paths — so reports are identical
-            // for every worker count.
-            exp.seeds
-                .sort_by(|a, b| a.cut.cmp(&b.cut).then_with(|| a.memory.cmp(&b.memory)));
-            let level_violations = exp.seeds.len() as u64;
+            self.states_explored += stats.new_states;
+            self.tel_states.add(stats.new_states);
+            self.tel_deduped.add(stats.deduped);
+            self.non_writes_skipped += stats.non_writes;
+            self.tel_non_writes.add(stats.non_writes);
+            // Violations surface in (cut, memory) order, so reports are
+            // identical for every worker count and row order.
+            let mut seeds = std::mem::take(&mut self.seeds);
+            let next = &self.spare;
+            seeds.sort_unstable_by(|a, b| {
+                next.cut(a.row as usize)
+                    .cmp(next.cut(b.row as usize))
+                    .then_with(|| a.memory.cmp(&b.memory))
+            });
+            let level_violations = seeds.len() as u64;
             self.tel_violations.add(level_violations);
-            for seed in exp.seeds {
-                let violation = self.violation_for(&current, seed);
+            for &seed in &seeds {
+                let violation = self.violation_for(&self.spare, seed);
                 self.violations.push(violation);
             }
-            let mut next = exp.next;
-            let level_evals = exp.evals;
-            let level_states = exp.new_states;
+            self.seeds = seeds;
             // Cuts that had no successor (only possible mid-stream for the
             // top-so-far cut when some threads ended) are retained if they
             // are the overall top; otherwise they are dead ends that cannot
             // occur for validated complete inputs.
-            if next.is_empty() {
-                self.frontier = current;
+            if self.spare.is_empty() {
                 return;
             }
             // Degrade instead of OOM: prune the level to a deterministic
             // beam (the cap smallest cuts in lexicographic order) and
             // account every dropped cut toward the report's exactness.
             if let Some(cap) = self.frontier_cap {
-                if next.len() > cap {
-                    let mut keys: Vec<Cut> = next.keys().cloned().collect();
-                    keys.sort();
-                    let excess = (next.len() - cap) as u64;
-                    for k in &keys[cap..] {
-                        next.remove(k);
+                if self.spare.len() > cap {
+                    let next = &self.spare;
+                    let mut order: Vec<usize> = (0..next.len()).collect();
+                    order.sort_unstable_by(|&a, &b| next.cut(a).cmp(next.cut(b)));
+                    let mut keep = vec![false; next.len()];
+                    for &row in &order[..cap] {
+                        keep[row] = true;
                     }
+                    let excess = (next.len() - cap) as u64;
+                    self.spare.retain(&keep);
                     self.dropped_cuts += excess;
                     self.tel_pruned.add(excess);
                     level_pruned = excess;
@@ -995,27 +920,32 @@ impl StreamingAnalyzer {
                     }
                 }
             }
-            // Retire the expanded level into the bounded history.
+            // Retire the expanded level into the bounded history, or keep
+            // its buffer for the level after next.
+            let retired = std::mem::replace(&mut self.frontier, std::mem::take(&mut self.spare));
             if self.history > 0 {
-                self.past.push_back(current);
-                while self.past.len() > self.history {
-                    self.past.pop_front();
+                self.past.push_back(retired);
+                if self.past.len() > self.history {
+                    self.spare = self.past.pop_front().unwrap_or_default();
                 }
+            } else {
+                self.spare = retired;
             }
-            self.frontier = next;
+            let width = self.frontier.len();
             self.levels_built += 1;
-            self.peak_frontier = self.peak_frontier.max(self.frontier.len());
+            self.peak_frontier = self.peak_frontier.max(width);
             self.tel_levels.inc();
-            self.tel_width.record(self.frontier.len() as u64);
-            self.tel_peak.set(self.frontier.len() as u64);
+            self.tel_width.record(width as u64);
+            self.tel_peak.set(width as u64);
+            self.tel_bytes.set(self.frontier_bytes());
             if self.trace_ring.is_enabled() {
                 self.trace_ring.record_span(
                     TraceKind::LevelSealed {
                         level: level_index,
-                        width: self.frontier.len() as u64,
-                        states: level_states,
+                        width: width as u64,
+                        states: stats.new_states,
                         pruned: level_pruned,
-                        evals: level_evals,
+                        evals: stats.evals,
                         violations: level_violations,
                     },
                     level_start,
@@ -1252,6 +1182,45 @@ mod tests {
         assert!(report.satisfied());
         assert_eq!(report.non_writes_skipped, 1);
         assert!(report.exactness.is_exact(), "stutters do not degrade");
+    }
+
+    #[test]
+    fn frontier_bytes_stay_within_the_documented_bound() {
+        const THREADS: usize = 4;
+        let mut syms = SymbolTable::new();
+        let monitor = parse("v0 >= 0", &mut syms).unwrap().monitor().unwrap();
+        let mut instr = MvcInstrumentor::new(THREADS, Relevance::AllWrites);
+        let mut msgs = Vec::new();
+        for round in 0..3 {
+            for t in 0..THREADS {
+                let value = (round * THREADS + t) as i64;
+                msgs.extend(instr.process(&Event::write(
+                    ThreadId(t as u32),
+                    VarId(t as u32),
+                    value,
+                )));
+            }
+        }
+        let registry = Registry::enabled();
+        let mut s =
+            StreamingAnalyzer::with_telemetry(monitor, &ProgramState::new(), THREADS, &registry);
+        s.push_all(msgs);
+        // Streams open: the frontier stalls at level 3 of the hypercube,
+        // the cuts of 3 events over 4 threads.
+        assert_eq!(s.levels_built(), 3);
+        let width = s.frontier_width() as u64;
+        assert_eq!(width, 20);
+        let bytes = s.frontier_bytes();
+        // The documented cost of a node: 4·threads + 8·slots + 32, plus
+        // 32 per alive and 8 per dead memory; a formula without temporal
+        // operators has a single memory.
+        let per_node = 4 * THREADS as u64 + 8 + 32 + 32 + 8;
+        assert!(
+            bytes > 0 && bytes <= width * per_node,
+            "{bytes} bytes for {width} nodes"
+        );
+        let gauge = registry.snapshot().gauge("lattice.frontier_bytes");
+        assert_eq!(gauge.map(|(value, _)| value), Some(bytes));
     }
 
     #[test]

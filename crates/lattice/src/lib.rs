@@ -39,6 +39,7 @@ pub mod config;
 pub mod cut;
 pub mod dot;
 pub mod explore;
+mod frontier;
 pub mod input;
 mod parallel;
 pub mod reassemble;

@@ -8,56 +8,49 @@
 //! spawned once, parked on their task channels between levels — and runs
 //! each level in two phases connected by channels:
 //!
-//! 1. **Expand** — the sorted source cuts are split into many contiguous
-//!    chunks (several per worker); workers *steal* chunks from a shared
-//!    atomic cursor, so a worker slowed by a skewed chunk sheds the rest
-//!    of the level to its siblings. Each enabled successor (an owned
-//!    [`Contribution`] carrying its source's index) is routed to the
-//!    worker owning `hash(successor) % workers`, batched per chunk and
-//!    target and tagged with the chunk index.
+//! 1. **Expand** — the source rows are split into many contiguous chunks
+//!    (several per worker); workers *steal* chunks from a shared atomic
+//!    cursor, so a worker slowed by a skewed chunk sheds the rest of the
+//!    level to its siblings. Each enabled edge (a [`Contribution`]: source
+//!    row and thread) is routed to the worker owning
+//!    `hash(successor cut) % workers`, batched per chunk and target and
+//!    tagged with the chunk index.
 //! 2. **Merge** — each worker owns a disjoint slice of the successor cut
-//!    space (a sharded seen-set, so deduplication needs no locks). It
-//!    orders the incoming buckets by chunk index and applies them; the
-//!    successor's state (computed once per node — states are uniquely
-//!    determined by the cut) and all monitor stepping happen here,
-//!    through a per-shard [`StepCache`] when the analyzer enables it.
+//!    space (a sharded index, so deduplication needs no locks). It builds
+//!    its slice as a [`Level`] of its own with the sequential path's two
+//!    routines, [`Expand::discover`] and [`Expand::absorb`], stepping
+//!    through a per-shard [`StepCache`] when the analyzer enables it. The
+//!    analyzer appends the shard levels in shard order.
 //!
 //! # Determinism
 //!
-//! The merge order is the linchpin: the sequential path applies
-//! contributions in ascending `(source cut, thread)` order. Chunks are
-//! contiguous slices of the *sorted* source list, every bucket preserves
-//! its chunk's walk order, and each shard concatenates its buckets in
-//! ascending chunk index — reproducing exactly that global order no
-//! matter which worker stole which chunk. Monitor memories are stepped in
-//! sorted order on both paths ([`FrontierNode::absorb`] is the one
-//! stepping routine), and the step cache memoizes a pure function, so it
-//! can only collapse work, never change a result. Run counts are
-//! saturating sums, which do not depend on the order of addition. Every
-//! output is therefore bit-identical to the sequential path regardless of
-//! worker count or steal schedule: new-node states (first contribution
-//! wins, and "first" is a total order, not hash-map luck), alive/dead
-//! memory sets and their run counts, trail parents, violation seeds, and
-//! all logical counters.
-//! Only the `lattice.parallel.*` metrics (steals, park times, shard
-//! widths) and the physical `spec.formula_evals` / `spec.eval_cache_hits`
-//! split reflect the schedule.
+//! A successor row's content depends only on its cut: its slots and
+//! valuation are fixed by the cut, and [`Expand::absorb`] visits its
+//! in-edges in ascending thread order and each source's memories in
+//! ascending order, whatever order rows were created in. The step cache
+//! memoizes a pure function, so it can only collapse work, never change a
+//! result. Run counts are saturating sums, which do not depend on the
+//! order of addition. Every output is therefore bit-identical to the
+//! sequential path regardless of worker count or steal schedule: alive
+//! and dead memory sets and their run counts, trail parents, violation
+//! seeds (sorted by `(cut, memory)` before they become violations), and
+//! all logical counters. Only the row order of a level, the
+//! `lattice.parallel.*` metrics (steals, park times, shard widths) and the
+//! physical `spec.formula_evals` / `spec.eval_cache_hits` split reflect
+//! the schedule.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::Instant;
 
-use jmpax_core::{Message, ThreadId, Value, VarId};
+use jmpax_core::Message;
 use jmpax_spec::{Monitor, StepCache};
 use jmpax_telemetry::Counter;
 use jmpax_trace::{TraceKind, TraceRing};
 
-use crate::builder::{FrontierNode, ViolationSeed};
-use crate::cut::Cut;
+use crate::frontier::{cut_hash, enabled, Expand, Level, Scratch, Seed, Stats};
 
 /// Chunks handed out per worker: oversubscription is what makes stealing
 /// possible. More chunks mean finer-grained balancing but more bucket
@@ -68,24 +61,29 @@ const CHUNKS_PER_WORKER: usize = 4;
 /// `Arc`. Built by the analyzer, reclaimed (sources included) after every
 /// worker has reported.
 pub(crate) struct LevelShared {
-    /// The sealed level in ascending cut order. Indexed by
-    /// [`Contribution::src`].
-    pub sources: Vec<(Cut, FrontierNode)>,
+    /// The sealed level. Indexed by [`Contribution::src`].
+    pub sources: Level,
     /// Causally delivered messages per thread (contiguous prefixes).
     pub delivered: Arc<Vec<Vec<Message>>>,
     /// The property monitor; stepping is `&self`.
     pub monitor: Arc<Monitor>,
+    /// Slot of each variable id the monitor reads.
+    pub slot_of: Arc<[u32]>,
     /// Declared thread count of the computation.
     pub threads: usize,
+    /// Slots per row.
+    pub width: usize,
     /// Engaged worker count for this level (also the shard count).
     pub workers: usize,
     /// Level index being sealed, for trace records.
     pub level: u64,
     /// Memoize monitor steps through a per-shard [`StepCache`].
-    pub eval_cache: bool,
+    pub cached: bool,
+    /// Record trail parents (the analyzer retains history).
+    pub keep_parents: bool,
     /// `spec.eval_cache_hits`, cloned into each shard's cache.
     pub cache_hits: Counter,
-    /// Source cuts per steal chunk.
+    /// Source rows per steal chunk.
     pub chunk: usize,
     /// Total steal chunks (`ceil(sources / chunk)`).
     pub chunks: usize,
@@ -97,17 +95,20 @@ pub(crate) struct LevelShared {
 }
 
 impl LevelShared {
-    /// Splits `sources` (already sorted ascending) into steal chunks and
-    /// packages one level for the pool.
+    /// Splits `sources` into steal chunks and packages one level for the
+    /// pool.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
-        sources: Vec<(Cut, FrontierNode)>,
+        sources: Level,
         delivered: Arc<Vec<Vec<Message>>>,
         monitor: Arc<Monitor>,
+        slot_of: Arc<[u32]>,
         threads: usize,
+        width: usize,
         workers: usize,
         level: u64,
-        eval_cache: bool,
+        cached: bool,
+        keep_parents: bool,
         cache_hits: Counter,
     ) -> Self {
         let chunk = sources
@@ -119,10 +120,13 @@ impl LevelShared {
             sources,
             delivered,
             monitor,
+            slot_of,
             threads,
+            width,
             workers,
             level,
-            eval_cache,
+            cached,
+            keep_parents,
             cache_hits,
             chunk,
             chunks,
@@ -130,19 +134,26 @@ impl LevelShared {
             cursor: AtomicUsize::new(0),
         }
     }
+
+    fn expand(&self) -> Expand<'_> {
+        Expand {
+            delivered: &self.delivered,
+            monitor: &self.monitor,
+            slot_of: &self.slot_of,
+            cached: self.cached,
+            keep_parents: self.keep_parents,
+            level: self.level,
+        }
+    }
 }
 
-/// One `(source, thread)` expansion: the source is an index into
-/// [`LevelShared::sources`], so only the successor cut is owned. The
-/// successor's state and the monitor steps are deferred to the merge
-/// phase, which performs state computation once per *node* rather than
-/// once per edge.
+/// One enabled edge: a source row of [`LevelShared::sources`] and the
+/// thread that advances. The successor's row, slots and monitor steps are
+/// computed in the merge phase, once per node.
+#[derive(Clone, Copy)]
 struct Contribution {
     src: u32,
-    succ: Cut,
-    /// The write the consumed message applies; `None` for relevant
-    /// non-write messages (exotic relevance policies), which stutter.
-    update: Option<(VarId, Value)>,
+    thread: u32,
 }
 
 /// A batch of contributions for one target shard, tagged with the steal
@@ -152,20 +163,12 @@ type Bucket = (usize, Vec<Contribution>);
 /// What one shard hands back to the analyzer after expand + merge.
 pub(crate) struct ShardReport {
     /// This shard's slice of the next frontier (disjoint from all others).
-    pub next: HashMap<Cut, FrontierNode>,
-    /// Violations discovered while merging, in `(cut, memory)` application
-    /// order within the shard.
-    pub seeds: Vec<ViolationSeed>,
-    /// Distinct successor cuts created by this shard.
-    pub new_states: u64,
-    /// Contributions that landed on an already-created successor.
-    pub deduped: u64,
-    /// Monitor steps performed (logical count: step-cache hits included,
-    /// so traces and reports stay bit-identical across cache settings).
-    pub evals: u64,
-    /// Relevant non-write messages stepped over as stutters.
-    pub non_writes: u64,
-    /// Source cuts this worker expanded (its chunks' total width).
+    pub next: Level,
+    /// Violations discovered while merging, rows relative to `next`.
+    pub seeds: Vec<Seed>,
+    /// The shard's logical counts.
+    pub stats: Stats,
+    /// Source rows this worker expanded (its chunks' total width).
     pub assigned: u64,
     /// Chunks claimed beyond the fair static share.
     pub steals: u64,
@@ -184,7 +187,6 @@ struct ShardTask {
     ring: TraceRing,
     report: mpsc::Sender<(usize, ShardReport)>,
 }
-
 /// A persistent pool of expansion workers.
 ///
 /// Workers are spawned once and parked on their task channels between
@@ -298,41 +300,18 @@ fn elapsed_ns(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// The shard owning `cut`: a stable FNV-1a fold over the counts, so
-/// assignment is deterministic for a given worker count (and irrelevant
-/// to results either way — the merge order is what determinism rests on).
-/// This runs once per produced successor, so it avoids the much heavier
-/// `DefaultHasher` (SipHash) deliberately.
-fn shard_of(cut: &Cut, workers: usize) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &c in cut.as_slice() {
-        h = (h ^ u64::from(c)).wrapping_mul(0x0100_0000_01b3);
-    }
-    (h % workers as u64) as usize
+/// The shard owning the successor of `cut` on thread `t`: a function of
+/// the successor cut alone, so assignment is deterministic for a given
+/// worker count (and irrelevant to results either way).
+fn shard_of(cut: &[u32], t: usize, scratch: &mut Vec<u32>, workers: usize) -> usize {
+    scratch.clear();
+    scratch.extend_from_slice(cut);
+    scratch[t] += 1;
+    ((cut_hash(scratch) >> 32) % workers as u64) as usize
 }
 
-/// The message enabled from `cut` on thread `t`, if causally consistent —
-/// the same Theorem-3 check the sequential path performs.
-pub(crate) fn enabled<'a>(
-    delivered: &'a [Vec<Message>],
-    cut: &Cut,
-    t: usize,
-) -> Option<&'a Message> {
-    let tid = ThreadId(t as u32);
-    let consumed = cut.get(tid) as usize;
-    let m = delivered.get(t)?.get(consumed)?;
-    let consistent = m.clock.iter().all(|(j, v)| {
-        if j == tid {
-            v == cut.get(tid) + 1
-        } else {
-            v <= cut.get(j)
-        }
-    });
-    consistent.then_some(m)
-}
-
-/// One pool task: steal and expand chunks of source cuts, exchange
-/// contribution buckets, then merge the slice of the successor space this
+/// One pool task: steal and expand chunks of source rows, exchange
+/// contribution buckets, then build the slice of the successor level this
 /// shard owns, and report back to the analyzer.
 fn run_shard(task: ShardTask, park_ns: u64) {
     let ShardTask {
@@ -348,6 +327,7 @@ fn run_shard(task: ShardTask, park_ns: u64) {
     let mut assigned = 0u64;
     let mut taken = 0u64;
     let mut produced = 0u64;
+    let mut succ = Vec::with_capacity(shared.threads);
     loop {
         let c = shared.cursor.fetch_add(1, Ordering::Relaxed);
         if c >= shared.chunks {
@@ -357,23 +337,22 @@ fn run_shard(task: ShardTask, park_ns: u64) {
         let lo = c * shared.chunk;
         let hi = (lo + shared.chunk).min(shared.sources.len());
         assigned += (hi - lo) as u64;
-        // Pre-size for the expected fan-out (≤ threads successors per cut,
+        // Pre-size for the expected fan-out (≤ threads successors per row,
         // spread evenly over the shards) to avoid growth reallocations.
         let per_bucket = (hi - lo) * shared.threads / workers + 4;
         let mut buckets: Vec<Vec<Contribution>> = (0..workers)
             .map(|_| Vec::with_capacity(per_bucket))
             .collect();
-        for (offset, (cut, _node)) in shared.sources[lo..hi].iter().enumerate() {
+        for src in lo..hi {
+            let cut = shared.sources.cut(src);
             for t in 0..shared.threads {
-                let Some(msg) = enabled(&shared.delivered, cut, t) else {
+                if enabled(&shared.delivered, cut, t).is_none() {
                     continue;
-                };
-                let succ = cut.advanced(ThreadId(t as u32));
+                }
                 produced += 1;
-                buckets[shard_of(&succ, workers)].push(Contribution {
-                    src: (lo + offset) as u32,
-                    succ,
-                    update: msg.var().zip(msg.written_value()),
+                buckets[shard_of(cut, t, &mut succ, workers)].push(Contribution {
+                    src: src as u32,
+                    thread: t as u32,
                 });
             }
         }
@@ -398,66 +377,48 @@ fn run_shard(task: ShardTask, park_ns: u64) {
     }
     drop(txs);
 
-    // Merge: this shard owns every successor hashing to it, so the
-    // seen-set below is shard-local and lock-free. Buckets ordered by
-    // chunk index concatenate into the sequential application order —
-    // ascending (source cut, thread) — because chunks are contiguous
-    // slices of the sorted source list.
+    // Merge: this shard owns every successor hashing to it, so its index
+    // is shard-local and lock-free.
     let merge_start = Instant::now();
     let mut incoming: Vec<Bucket> = rx.iter().collect();
     incoming.sort_unstable_by_key(|&(chunk, _)| chunk);
-    let mut next: HashMap<Cut, FrontierNode> = HashMap::new();
-    let mut seeds: Vec<ViolationSeed> = Vec::new();
-    let mut new_states = 0u64;
-    let mut deduped = 0u64;
-    let mut evals = 0u64;
-    let mut non_writes = 0u64;
+    let edges: usize = incoming.iter().map(|(_, b)| b.len()).sum();
+    let expand = shared.expand();
+    let mut next = Level::new(shared.threads, shared.width);
+    let mut scratch = Scratch::default();
+    scratch.reset(edges / 2);
+    let mut seeds = Vec::new();
+    let mut stats = Stats::default();
     let mut cache = shared
-        .eval_cache
+        .cached
         .then(|| StepCache::with_counter(shared.cache_hits.clone()));
     for (_, bucket) in incoming {
         for c in bucket {
-            let (src_cut, src_node) = &shared.sources[c.src as usize];
-            if c.update.is_none() {
-                non_writes += 1;
-            }
-            let succ = match next.entry(c.succ.clone()) {
-                Entry::Occupied(e) => {
-                    deduped += 1;
-                    e.into_mut()
-                }
-                Entry::Vacant(e) => {
-                    new_states += 1;
-                    // The first (smallest-source) contribution computes
-                    // the node's state; later edges reuse it. States are
-                    // uniquely determined by the cut, so this is the same
-                    // value every other parent would compute.
-                    e.insert(FrontierNode::new(match c.update {
-                        Some((var, value)) => src_node.state.updated(var, value),
-                        None => src_node.state.clone(),
-                    }))
-                }
-            };
-            evals += succ.absorb(
-                &c.succ,
-                src_cut,
-                src_node,
-                &shared.monitor,
-                cache.as_mut(),
-                &mut ring,
-                shared.level,
-                &mut seeds,
+            expand.discover(
+                &shared.sources,
+                c.src,
+                c.thread as usize,
+                &mut next,
+                &mut scratch,
+                &mut stats,
             );
         }
     }
+    expand.absorb(
+        &shared.sources,
+        &mut next,
+        &scratch,
+        cache.as_mut(),
+        &mut ring,
+        &mut seeds,
+        &mut stats,
+    );
+    drop(cache);
     let merge_ns = elapsed_ns(merge_start);
     let out = ShardReport {
         next,
         seeds,
-        new_states,
-        deduped,
-        evals,
-        non_writes,
+        stats,
         assigned,
         steals,
         park_ns,

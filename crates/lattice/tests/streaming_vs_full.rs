@@ -1,8 +1,9 @@
 //! Equivalence of the streaming analyzer with the full lattice analysis:
 //! same states, levels and level width, same total and violating run
-//! counts, the same set of `(cut, memory)` violation points, and every
-//! violation's run a valid violating run — on random computations and
-//! properties, regardless of delivery order.
+//! counts, the same set of `(cut, memory)` violation points, every
+//! violation's run a valid violating run, and every trail state — of full
+//! and of truncated trails — the full lattice's state at that cut — on
+//! random computations and properties, regardless of delivery order.
 
 use std::collections::HashSet;
 
@@ -58,6 +59,7 @@ fn assert_valid_run(v: &Violation, monitor: &Monitor, initial: &ProgramState, wh
 #[test]
 fn streaming_matches_full_on_random_computations_and_specs() {
     let mut shuffler = StdRng::seed_from_u64(0xFEED);
+    let mut truncated_shuffler = StdRng::seed_from_u64(0xBEEF);
     for seed in 0..12 {
         let ex = random_execution(RandomExecutionConfig {
             threads: 3,
@@ -130,6 +132,143 @@ fn streaming_matches_full_on_random_computations_and_specs() {
                 stream_points, full_points,
                 "seed {seed} spec `{spec}`: violation points diverged"
             );
+            assert_states_match_lattice(&report.violations, &lattice, &format!("seed {seed}"));
+
+            // Truncated trails — two-level, and one retired level: the
+            // same violation points, trails as long as the history
+            // allows, and every trail state the full lattice's.
+            for history in [0usize, 1] {
+                let what = format!("seed {seed} spec `{spec}` history {history}");
+                let mut shuffled = msgs.clone();
+                shuffled.shuffle(&mut truncated_shuffler);
+                let mut s =
+                    StreamingAnalyzer::new(monitor.clone(), &initial, 3).with_history(history);
+                s.push_all(shuffled);
+                let report = s.finish();
+                assert!(report.completed, "{what}");
+                let points: HashSet<(Cut, MonitorState)> = report
+                    .violations
+                    .iter()
+                    .map(|v| (v.cut.clone(), v.memory))
+                    .collect();
+                assert_eq!(points, full_points, "{what}: violation points");
+                for v in &report.violations {
+                    let len = (v.cut.level() as usize + 1).min(2 + history);
+                    assert_eq!(v.trail.len(), len, "{what}: trail length");
+                }
+                assert_states_match_lattice(&report.violations, &lattice, &what);
+            }
         }
     }
+}
+
+/// Asserts that every step of every trail carries the state of the full
+/// lattice's node at its cut, and that consecutive steps are one event
+/// apart, naming the thread and the message that moved.
+fn assert_states_match_lattice(violations: &[Violation], lattice: &Lattice, what: &str) {
+    for v in violations {
+        let node = |cut: &Cut| {
+            let id = lattice
+                .node_by_cut(cut)
+                .unwrap_or_else(|| panic!("{what}: {cut} is not a lattice node"));
+            &lattice.nodes()[id].state
+        };
+        assert_eq!(
+            &v.state,
+            node(&v.cut),
+            "{what}: violation state at {}",
+            v.cut
+        );
+        for step in &v.trail {
+            assert_eq!(
+                &step.state,
+                node(&step.cut),
+                "{what}: trail state at {}",
+                step.cut
+            );
+        }
+        for w in v.trail.windows(2) {
+            let thread = w[0].cut.advancing_thread(&w[1].cut);
+            assert!(thread.is_some(), "{what}: {} -> {}", w[0].cut, w[1].cut);
+            assert_eq!(w[1].thread, thread, "{what}");
+            assert_eq!(w[1].message.as_ref().map(|m| m.thread()), thread, "{what}");
+        }
+        let first = &v.trail[0];
+        assert_eq!(
+            first.thread.is_none(),
+            first.cut.level() == 0,
+            "{what}: only the initial state has no arriving thread"
+        );
+    }
+}
+
+/// A property with more than 64 atoms: its valuation does not fit the
+/// step cache's packed key, so every monitor step evaluates the formula
+/// over the node's slots. The streaming verdict must still match the
+/// full lattice's.
+#[test]
+fn wide_formulas_bypass_the_step_cache_and_still_match() {
+    let clauses: Vec<String> = (1..=33)
+        .map(|k| format!("(v0 != {k} \\/ v1 < v2 + {k})"))
+        .collect();
+    let spec = format!("[*]({})", clauses.join(" /\\ "));
+    let mut syms = SymbolTable::new();
+    for n in ["v0", "v1", "v2"] {
+        syms.intern(n);
+    }
+    let monitor = parse(&spec, &mut syms).unwrap().monitor().unwrap();
+    assert!(
+        monitor.valuation(&ProgramState::new()).is_none(),
+        "66 atoms must not pack into one valuation"
+    );
+    let mut violated = 0;
+    for seed in 0..12 {
+        let ex = random_execution(RandomExecutionConfig {
+            threads: 3,
+            vars: 3,
+            events: 14,
+            write_ratio: 0.8,
+            internal_ratio: 0.0,
+            seed,
+        });
+        let msgs = ex.instrument(Relevance::writes_of([VarId(0), VarId(1), VarId(2)]));
+        let initial = ProgramState::new();
+        let input = LatticeInput::from_messages(msgs.clone(), initial.clone()).unwrap();
+        let lattice = Lattice::build(input);
+        let full = analyze_lattice(&lattice, &monitor);
+        let mut s = StreamingAnalyzer::new(monitor.clone(), &initial, 3).with_history(usize::MAX);
+        s.push_all(msgs);
+        let report = s.finish();
+        let what = format!("seed {seed}");
+        assert!(report.completed, "{what}");
+        assert_eq!(
+            report.states_explored as usize, full.states,
+            "{what}: states"
+        );
+        assert_eq!(
+            (report.total_runs, report.violating_runs),
+            (full.total_runs, full.violating_runs),
+            "{what}: run counts"
+        );
+        let points = |vs: &[Violation]| -> HashSet<(Cut, MonitorState)> {
+            vs.iter().map(|v| (v.cut.clone(), v.memory)).collect()
+        };
+        assert_eq!(
+            points(&report.violations),
+            points(&full.violations),
+            "{what}: violation points"
+        );
+        for v in &report.violations {
+            assert_valid_run(v, &monitor, &initial, &what);
+        }
+        violated += usize::from(!report.violations.is_empty());
+    }
+    assert!(
+        violated > 0,
+        "some seed must violate, or the check is vacuous: {violated}"
+    );
+    assert!(
+        violated < 12,
+        "some seed must hold, or the check is vacuous: {violated}"
+    );
 }

@@ -150,13 +150,7 @@ impl Formula {
     fn collect_vars(&self, out: &mut std::collections::BTreeSet<VarId>) {
         match self {
             Formula::True | Formula::False => {}
-            Formula::Atom(Atom::BoolVar(v)) => {
-                out.insert(*v);
-            }
-            Formula::Atom(Atom::Cmp(a, _, b)) => {
-                a.collect_vars(out);
-                b.collect_vars(out);
-            }
+            Formula::Atom(a) => a.collect_vars(out),
             Formula::Not(f)
             | Formula::Prev(f)
             | Formula::AlwaysPast(f)
@@ -201,6 +195,20 @@ impl Formula {
     /// temporal subformulas (monitor state must fit one machine word).
     pub fn monitor(&self) -> Result<crate::monitor::Monitor, crate::monitor::MonitorError> {
         crate::monitor::Monitor::compile(self)
+    }
+}
+
+impl Atom {
+    pub(crate) fn collect_vars(&self, out: &mut std::collections::BTreeSet<VarId>) {
+        match self {
+            Atom::BoolVar(v) => {
+                out.insert(*v);
+            }
+            Atom::Cmp(a, _, b) => {
+                a.collect_vars(out);
+                b.collect_vars(out);
+            }
+        }
     }
 }
 

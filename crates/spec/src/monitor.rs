@@ -25,13 +25,15 @@
 //! and at the initial state (`n = 0`): `@F = F`, `[*]F = F`, `<*>F = F`,
 //! `F S G = G`, `F Sw G = G ∨ F`, `[P,Q) = P ∧ ¬Q`, `start = end = false`.
 
-use std::collections::HashMap;
+use std::collections::BTreeSet;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::ast::{Atom, Formula};
-use crate::state::ProgramState;
+use jmpax_core::VarId;
+
+use crate::ast::{Atom, Expr, Formula};
+use crate::state::{self, ProgramState, Vars};
 
 /// Maximum number of temporal subformulas per monitor (state is a `u64`).
 pub const MAX_BITS: usize = 64;
@@ -129,6 +131,12 @@ pub struct Monitor {
     /// cache keys on the packed truth values of these atoms, so it is only
     /// usable when they fit a `u64` (see [`Monitor::valuation`]).
     atoms: Vec<NodeId>,
+    /// The variables the atoms read, ascending: slot `i` of a slot vector
+    /// holds the value of `vars[i]` ([`Monitor::variables`]).
+    vars: Vec<VarId>,
+    /// Every atom again, indexed by valuation slot, with each variable
+    /// `v` rewritten to `VarId(slot of v)` so it reads a slot vector.
+    slot_atoms: Vec<Atom>,
     /// Counts full formula evaluations (`spec.formula_evals`); disabled
     /// unless attached via [`Monitor::with_telemetry`]. Clones share the
     /// counter, so every cut evaluated across the lattice is counted.
@@ -153,17 +161,29 @@ impl Monitor {
             return Err(MonitorError::TooManyTemporalOperators { needed: bits });
         }
         let mut atoms = Vec::new();
+        let mut read = BTreeSet::new();
         for (id, n) in nodes.iter_mut().enumerate() {
-            if let Node::Atom(_, slot) = n {
+            if let Node::Atom(a, slot) = n {
                 *slot = atoms.len() as u16;
                 atoms.push(id as NodeId);
+                a.collect_vars(&mut read);
             }
         }
+        let vars: Vec<VarId> = read.into_iter().collect();
+        let slot_atoms = atoms
+            .iter()
+            .map(|&id| match &nodes[id as usize] {
+                Node::Atom(a, _) => slot_atom(a, &vars),
+                _ => unreachable!("atoms indexes only Node::Atom entries"),
+            })
+            .collect();
         Ok(Self {
             nodes,
             root,
             bits,
             atoms,
+            vars,
+            slot_atoms,
             evals: jmpax_telemetry::Counter::disabled(),
             eval_ns: jmpax_telemetry::Histogram::disabled(),
             cache_hits: jmpax_telemetry::Counter::disabled(),
@@ -289,17 +309,59 @@ impl Monitor {
         state: &ProgramState,
         cache: &mut StepCache,
     ) -> (MonitorState, bool) {
-        let Some(valuation) = self.valuation(state) else {
-            return self.step(prev, state);
-        };
-        let key = (prev.0, valuation);
-        if let Some(&result) = cache.map.get(&key) {
-            cache.hits.inc();
+        match self.valuation(state) {
+            Some(valuation) => self.step_valuation(prev, valuation, cache),
+            None => self.step(prev, state),
+        }
+    }
+
+    /// Steps from memory `prev` on a state whose packed atom valuation
+    /// ([`Monitor::valuation`] or [`Monitor::slot_valuation`]) is
+    /// `valuation`, through `cache`. This is the frontier's entry point: a
+    /// lattice node computes its valuation once, and every monitor step
+    /// into it is one memo probe.
+    #[must_use]
+    pub fn step_valuation(
+        &self,
+        prev: MonitorState,
+        valuation: u64,
+        cache: &mut StepCache,
+    ) -> (MonitorState, bool) {
+        if let Some(result) = cache.get(prev.0, valuation) {
             return result;
         }
-        let result = self.run_valued(Some(prev), valuation);
-        cache.map.insert(key, result);
+        let result = self.run_impl(Some(prev), AtomInput::Valuation(valuation));
+        cache.insert(prev.0, valuation, result);
         result
+    }
+
+    /// The variables this monitor's atoms read, ascending and distinct.
+    /// A *slot vector* for this monitor holds, at index `i`, the integer
+    /// view ([`jmpax_core::Value::as_int`]) of `variables()[i]`: that is
+    /// all of a global state the property can see.
+    #[must_use]
+    pub fn variables(&self) -> &[VarId] {
+        &self.vars
+    }
+
+    /// The slot vector of `state` (see [`Monitor::variables`]).
+    #[must_use]
+    pub fn slots(&self, state: &ProgramState) -> Vec<i64> {
+        self.vars.iter().map(|&v| state.get(v).as_int()).collect()
+    }
+
+    /// [`Monitor::valuation`] over a slot vector. `None` when the formula
+    /// has more than 64 atoms.
+    #[must_use]
+    pub fn slot_valuation(&self, slots: &[i64]) -> Option<u64> {
+        self.pack(self.slot_atoms.iter(), &Slots(slots))
+    }
+
+    /// [`Monitor::step`] over a slot vector, uncached: the path for
+    /// monitors whose atoms do not fit a packed valuation.
+    #[must_use]
+    pub fn step_slots(&self, prev: MonitorState, slots: &[i64]) -> (MonitorState, bool) {
+        self.run_impl(Some(prev), AtomInput::Slots(slots))
     }
 
     /// Packs the truth values of every atom in `state` into one `u64`, bit
@@ -307,27 +369,25 @@ impl Monitor {
     /// atoms — such monitors simply bypass the step cache.
     #[must_use]
     pub fn valuation(&self, state: &ProgramState) -> Option<u64> {
+        let atoms = self.atoms.iter().map(|&id| match &self.nodes[id as usize] {
+            Node::Atom(a, _) => a,
+            _ => unreachable!("atoms indexes only Node::Atom entries"),
+        });
+        self.pack(atoms, state)
+    }
+
+    /// Packs the truth values of `atoms` (in slot order) over `vars`.
+    fn pack<'a, V: Vars>(&self, atoms: impl Iterator<Item = &'a Atom>, vars: &V) -> Option<u64> {
         if self.atoms.len() > 64 {
             return None;
         }
-        let mut packed = 0u64;
-        for (slot, &id) in self.atoms.iter().enumerate() {
-            let Node::Atom(a, _) = &self.nodes[id as usize] else {
-                unreachable!("atoms indexes only Node::Atom entries");
-            };
-            if state.eval_atom(a) {
-                packed |= 1 << slot;
-            }
-        }
-        Some(packed)
+        Some(atoms.enumerate().fold(0u64, |packed, (slot, atom)| {
+            packed | u64::from(state::eval_atom(vars, atom)) << slot
+        }))
     }
 
     fn run(&self, prev: Option<MonitorState>, state: &ProgramState) -> (MonitorState, bool) {
         self.run_impl(prev, AtomInput::State(state))
-    }
-
-    fn run_valued(&self, prev: Option<MonitorState>, valuation: u64) -> (MonitorState, bool) {
-        self.run_impl(prev, AtomInput::Valuation(valuation))
     }
 
     fn run_impl(&self, prev: Option<MonitorState>, atoms: AtomInput<'_>) -> (MonitorState, bool) {
@@ -351,6 +411,9 @@ impl Monitor {
                 Node::Atom(a, slot) => match atoms {
                     AtomInput::State(s) => s.eval_atom(a),
                     AtomInput::Valuation(v) => (v >> slot) & 1 == 1,
+                    AtomInput::Slots(s) => {
+                        state::eval_atom(&Slots(s), &self.slot_atoms[*slot as usize])
+                    }
                 },
                 Node::Not(x) => !now[*x as usize],
                 Node::And(a, b) => now[*a as usize] && now[*b as usize],
@@ -462,17 +525,61 @@ impl Monitor {
 }
 
 /// How [`Monitor::run_impl`] reads atom truth values: directly from a
-/// program state, or from a valuation already packed by
-/// [`Monitor::valuation`] (the step-cache miss path, which avoids
-/// re-evaluating atoms against the state map).
+/// program state, from a valuation already packed by
+/// [`Monitor::valuation`] (the step-cache miss path), or from a slot
+/// vector (monitors with more than 64 atoms).
 #[derive(Clone, Copy)]
 enum AtomInput<'a> {
     State(&'a ProgramState),
     Valuation(u64),
+    Slots(&'a [i64]),
 }
 
-/// A memo table for [`Monitor::step_cached`], keyed by
-/// `(monitor memory, packed atom valuation)`.
+/// A slot vector as a value source for the slot-rewritten atoms.
+struct Slots<'a>(&'a [i64]);
+
+impl Vars for Slots<'_> {
+    fn int(&self, var: VarId) -> i64 {
+        self.0[var.index()]
+    }
+}
+
+/// `atom` with every variable replaced by its slot in `vars`.
+fn slot_atom(atom: &Atom, vars: &[VarId]) -> Atom {
+    fn expr(e: &Expr, vars: &[VarId]) -> Expr {
+        match e {
+            Expr::Const(c) => Expr::Const(*c),
+            Expr::Var(v) => Expr::Var(slot_var(*v, vars)),
+            Expr::Neg(x) => Expr::Neg(Box::new(expr(x, vars))),
+            Expr::Bin(op, a, b) => Expr::Bin(*op, Box::new(expr(a, vars)), Box::new(expr(b, vars))),
+        }
+    }
+    fn slot_var(v: VarId, vars: &[VarId]) -> VarId {
+        let slot = vars
+            .binary_search(&v)
+            .expect("every atom variable has a slot");
+        VarId(slot as u32)
+    }
+    match atom {
+        Atom::BoolVar(v) => Atom::BoolVar(slot_var(*v, vars)),
+        Atom::Cmp(a, op, b) => Atom::Cmp(expr(a, vars), *op, expr(b, vars)),
+    }
+}
+
+/// One memoized transition of a [`StepCache`]. Live iff `stamp` equals
+/// the cache's current stamp, so clearing is one increment.
+#[derive(Clone, Copy, Debug, Default)]
+struct Memo {
+    memory: u64,
+    valuation: u64,
+    next: u64,
+    ok: bool,
+    stamp: u32,
+}
+
+/// A memo table for [`Monitor::step_valuation`] (and
+/// [`Monitor::step_cached`]), keyed by `(monitor memory, packed atom
+/// valuation)`.
 ///
 /// Stepping a monitor is a pure function of that pair, so the cache never
 /// changes results — it only collapses repeated evaluations. Frontier
@@ -482,10 +589,26 @@ enum AtomInput<'a> {
 /// to the monitor (no interior mutability, no locks): each analysis path
 /// owns one, scopes it — per level for the streaming analyzer, per shard
 /// for parallel expansion — and clears or drops it when done.
-#[derive(Debug, Default)]
+///
+/// The table is one flat open-addressing array with linear probing and a
+/// multiplicative hash; clearing bumps a stamp instead of touching the
+/// entries, so a per-level clear costs nothing and the allocation is kept.
+/// Hits are counted locally and added to the hit counter at each
+/// [`StepCache::clear`] and on drop.
+#[derive(Debug)]
 pub struct StepCache {
-    map: HashMap<(u64, u64), (MonitorState, bool)>,
+    /// Power-of-two length (or empty before the first insert).
+    table: Vec<Memo>,
+    len: usize,
+    stamp: u32,
     hits: jmpax_telemetry::Counter,
+    pending_hits: u64,
+}
+
+impl Default for StepCache {
+    fn default() -> Self {
+        Self::with_counter(jmpax_telemetry::Counter::disabled())
+    }
 }
 
 impl StepCache {
@@ -500,8 +623,11 @@ impl StepCache {
     #[must_use]
     pub fn with_counter(hits: jmpax_telemetry::Counter) -> Self {
         Self {
-            map: HashMap::new(),
+            table: Vec::new(),
+            len: 0,
+            stamp: 1,
             hits,
+            pending_hits: 0,
         }
     }
 
@@ -509,19 +635,93 @@ impl StepCache {
     /// counter. Called at level seals so the table tracks the working set
     /// instead of growing for the whole run.
     pub fn clear(&mut self) {
-        self.map.clear();
+        self.flush_hits();
+        self.len = 0;
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            // Every 2^32 clears, old stamps could read as live again.
+            self.table.fill(Memo::default());
+            self.stamp = 1;
+        }
     }
 
     /// Number of memoized `(memory, valuation)` transitions.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.len
     }
 
     /// True when nothing has been memoized since creation or `clear`.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len == 0
+    }
+
+    fn slot(&self, memory: u64, valuation: u64) -> usize {
+        let h = (memory.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ valuation)
+            .wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+        (h >> 32) as usize & (self.table.len() - 1)
+    }
+
+    fn get(&mut self, memory: u64, valuation: u64) -> Option<(MonitorState, bool)> {
+        if self.table.is_empty() {
+            return None;
+        }
+        let mask = self.table.len() - 1;
+        let mut i = self.slot(memory, valuation);
+        loop {
+            let m = &self.table[i];
+            if m.stamp != self.stamp {
+                return None;
+            }
+            if m.memory == memory && m.valuation == valuation {
+                self.pending_hits += 1;
+                return Some((MonitorState(m.next), m.ok));
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    fn insert(&mut self, memory: u64, valuation: u64, (next, ok): (MonitorState, bool)) {
+        if (self.len + 1) * 2 > self.table.len() {
+            self.grow();
+        }
+        let mask = self.table.len() - 1;
+        let mut i = self.slot(memory, valuation);
+        while self.table[i].stamp == self.stamp {
+            i = (i + 1) & mask;
+        }
+        self.table[i] = Memo {
+            memory,
+            valuation,
+            next: next.0,
+            ok,
+            stamp: self.stamp,
+        };
+        self.len += 1;
+    }
+
+    fn grow(&mut self) {
+        let capacity = (self.table.len() * 2).max(16);
+        let old = std::mem::replace(&mut self.table, vec![Memo::default(); capacity]);
+        let stamp = self.stamp;
+        self.len = 0;
+        for m in old.into_iter().filter(|m| m.stamp == stamp) {
+            self.insert(m.memory, m.valuation, (MonitorState(m.next), m.ok));
+        }
+    }
+
+    fn flush_hits(&mut self) {
+        if self.pending_hits > 0 {
+            self.hits.add(self.pending_hits);
+            self.pending_hits = 0;
+        }
+    }
+}
+
+impl Drop for StepCache {
+    fn drop(&mut self) {
+        self.flush_hits();
     }
 }
 
@@ -714,6 +914,81 @@ mod tests {
             Monitor::compile(&f),
             Err(MonitorError::TooManyTemporalOperators { needed: 65 })
         ));
+    }
+
+    #[test]
+    fn slot_vectors_see_exactly_the_read_variables() {
+        let mut syms = SymbolTable::new();
+        syms.intern("unused");
+        let m = monitor_of("(x > 0) -> [y = 0, y > z + x)", &mut syms);
+        let (x, y, z) = (
+            syms.lookup("x").unwrap(),
+            syms.lookup("y").unwrap(),
+            syms.lookup("z").unwrap(),
+        );
+        assert_eq!(m.variables(), &[x, y, z]);
+        let mut state = ProgramState::new();
+        state.set(syms.lookup("unused").unwrap(), 9);
+        state.set(x, 2);
+        state.set(y, jmpax_core::Value::Bool(true));
+        assert_eq!(m.slots(&state), vec![2, 1, 0]);
+    }
+
+    #[test]
+    fn slot_and_valuation_steps_agree_with_state_steps() {
+        let mut syms = SymbolTable::new();
+        let m = monitor_of(
+            "start(p = 1) -> [q * 2 > r, q < 0 \\/ r % 3 = 1)",
+            &mut syms,
+        );
+        let mut cache = m.step_cache();
+        let mut mem = None;
+        for i in -4i64..12 {
+            let mut state = ProgramState::new();
+            state.set(syms.lookup("p").unwrap(), i % 2);
+            state.set(syms.lookup("q").unwrap(), i - 3);
+            state.set(syms.lookup("r").unwrap(), i * i % 7);
+            let slots = m.slots(&state);
+            assert_eq!(m.slot_valuation(&slots), m.valuation(&state), "state {i}");
+            let Some(prev) = mem else {
+                mem = Some(m.initial(&state).0);
+                continue;
+            };
+            let expected = m.step(prev, &state);
+            assert_eq!(m.step_slots(prev, &slots), expected, "state {i}");
+            let valuation = m.valuation(&state).unwrap();
+            assert_eq!(m.step_valuation(prev, valuation, &mut cache), expected);
+            // A second probe of the same pair is a hit with the same answer.
+            assert_eq!(m.step_valuation(prev, valuation, &mut cache), expected);
+            mem = Some(expected.0);
+        }
+    }
+
+    #[test]
+    fn step_cache_counts_hits_and_clears_by_stamp() {
+        let registry = jmpax_telemetry::Registry::enabled();
+        let mut syms = SymbolTable::new();
+        let m = monitor_of("[*] p = 1", &mut syms).with_telemetry(&registry);
+        let mut cache = m.step_cache();
+        for valuation in 0..40u64 {
+            let _ = m.step_valuation(MonitorState(1), valuation & 1, &mut cache);
+            let _ = m.step_valuation(MonitorState(valuation), 1, &mut cache);
+        }
+        // 2 + 40 distinct pairs, (1, 1) shared: 41 evaluations.
+        assert_eq!(cache.len(), 41);
+        cache.clear();
+        assert!(cache.is_empty());
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("spec.formula_evals"), Some(41));
+        assert_eq!(snap.counter("spec.eval_cache_hits"), Some(39));
+        let _ = m.step_valuation(MonitorState(1), 1, &mut cache);
+        drop(cache);
+        let snap = registry.snapshot();
+        assert_eq!(
+            snap.counter("spec.formula_evals"),
+            Some(42),
+            "cleared entries are gone"
+        );
     }
 
     #[test]

@@ -73,52 +73,77 @@ impl ProgramState {
     /// Arithmetic wraps on overflow for the same reason.
     #[must_use]
     pub fn eval_expr(&self, expr: &Expr) -> i64 {
-        match expr {
-            Expr::Const(c) => *c,
-            Expr::Var(v) => self.get(*v).as_int(),
-            Expr::Neg(e) => self.eval_expr(e).wrapping_neg(),
-            Expr::Bin(op, a, b) => {
-                let a = self.eval_expr(a);
-                let b = self.eval_expr(b);
-                match op {
-                    BinOp::Add => a.wrapping_add(b),
-                    BinOp::Sub => a.wrapping_sub(b),
-                    BinOp::Mul => a.wrapping_mul(b),
-                    BinOp::Div => {
-                        if b == 0 {
-                            0
-                        } else {
-                            a.wrapping_div(b)
-                        }
-                    }
-                    BinOp::Mod => {
-                        if b == 0 {
-                            0
-                        } else {
-                            a.wrapping_rem(b)
-                        }
-                    }
-                }
-            }
-        }
+        eval_expr(self, expr)
     }
 
     /// Evaluates an atomic predicate over this state.
     #[must_use]
     pub fn eval_atom(&self, atom: &Atom) -> bool {
-        match atom {
-            Atom::BoolVar(v) => self.get(*v).as_bool(),
-            Atom::Cmp(a, op, b) => {
-                let a = self.eval_expr(a);
-                let b = self.eval_expr(b);
-                match op {
-                    CmpOp::Eq => a == b,
-                    CmpOp::Ne => a != b,
-                    CmpOp::Lt => a < b,
-                    CmpOp::Le => a <= b,
-                    CmpOp::Gt => a > b,
-                    CmpOp::Ge => a >= b,
+        eval_atom(self, atom)
+    }
+}
+
+/// Where predicate evaluation reads variable values from: a whole
+/// [`ProgramState`], or a monitor's slot vector (`crate::monitor`).
+pub(crate) trait Vars {
+    /// The integer view of `var` (booleans as 0/1).
+    fn int(&self, var: VarId) -> i64;
+}
+
+impl Vars for ProgramState {
+    fn int(&self, var: VarId) -> i64 {
+        self.get(var).as_int()
+    }
+}
+
+/// [`ProgramState::eval_expr`] over any value source.
+pub(crate) fn eval_expr<V: Vars + ?Sized>(vars: &V, expr: &Expr) -> i64 {
+    match expr {
+        Expr::Const(c) => *c,
+        Expr::Var(v) => vars.int(*v),
+        Expr::Neg(e) => eval_expr(vars, e).wrapping_neg(),
+        Expr::Bin(op, a, b) => {
+            let a = eval_expr(vars, a);
+            let b = eval_expr(vars, b);
+            match op {
+                BinOp::Add => a.wrapping_add(b),
+                BinOp::Sub => a.wrapping_sub(b),
+                BinOp::Mul => a.wrapping_mul(b),
+                BinOp::Div => {
+                    if b == 0 {
+                        0
+                    } else {
+                        a.wrapping_div(b)
+                    }
                 }
+                BinOp::Mod => {
+                    if b == 0 {
+                        0
+                    } else {
+                        a.wrapping_rem(b)
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// [`ProgramState::eval_atom`] over any value source. A bare variable is
+/// truthy when its integer view is nonzero, which is exactly
+/// [`Value::as_bool`] for every value kind.
+pub(crate) fn eval_atom<V: Vars + ?Sized>(vars: &V, atom: &Atom) -> bool {
+    match atom {
+        Atom::BoolVar(v) => vars.int(*v) != 0,
+        Atom::Cmp(a, op, b) => {
+            let a = eval_expr(vars, a);
+            let b = eval_expr(vars, b);
+            match op {
+                CmpOp::Eq => a == b,
+                CmpOp::Ne => a != b,
+                CmpOp::Lt => a < b,
+                CmpOp::Le => a <= b,
+                CmpOp::Gt => a > b,
+                CmpOp::Ge => a >= b,
             }
         }
     }
