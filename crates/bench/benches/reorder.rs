@@ -39,7 +39,7 @@ fn bench_delivery(c: &mut Criterion) {
                 let mut buf = CausalBuffer::new();
                 let mut delivered = 0usize;
                 for m in input {
-                    delivered += buf.push(m.clone()).len();
+                    buf.push(m.clone(), |_| delivered += 1);
                 }
                 assert_eq!(delivered, input.len());
                 delivered

@@ -42,9 +42,23 @@ use crate::event::ThreadId;
 /// assert!(a.le(&b));
 /// assert_eq!(b.to_string(), "(1,1)");
 /// ```
-#[derive(Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct VectorClock {
     components: CountVec,
+}
+
+impl Clone for VectorClock {
+    #[inline]
+    fn clone(&self) -> Self {
+        Self {
+            components: self.components.clone(),
+        }
+    }
+
+    /// Copies in place, reusing a spilled destination's heap buffer.
+    fn clone_from(&mut self, source: &Self) {
+        self.components.clone_from(&source.components);
+    }
 }
 
 impl VectorClock {
@@ -186,6 +200,18 @@ impl VectorClock {
     #[must_use]
     pub fn as_slice(&self) -> &[u32] {
         &self.components
+    }
+
+    /// The stored components, for rewriting in place.
+    #[must_use]
+    pub fn as_mut_slice(&mut self) -> &mut [u32] {
+        self.components.as_mut_slice()
+    }
+
+    /// Stores exactly `n` components: drops the ones past `n`, or appends
+    /// explicit zeros up to it.
+    pub fn resize(&mut self, n: usize) {
+        self.components.resize(n, 0);
     }
 
     /// Normalizes by dropping trailing zeros, so that clocks that compare

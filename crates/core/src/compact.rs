@@ -49,8 +49,26 @@ enum Repr {
 /// v[0] += 10;
 /// assert_eq!(v.iter().sum::<u32>(), 20);
 /// ```
-#[derive(Clone)]
 pub struct CountVec(Repr);
+
+impl Clone for CountVec {
+    #[inline]
+    fn clone(&self) -> Self {
+        Self(self.0.clone())
+    }
+
+    /// Copies in place: a spilled destination keeps its heap buffer, so
+    /// republishing a wide clock into the same slot does not allocate.
+    fn clone_from(&mut self, source: &Self) {
+        match &mut self.0 {
+            Repr::Spilled(dst) => {
+                dst.clear();
+                dst.extend_from_slice(source.as_slice());
+            }
+            Repr::Inline { .. } => *self = source.clone(),
+        }
+    }
+}
 
 impl CountVec {
     /// The empty vector.
@@ -272,8 +290,16 @@ impl From<&[u32]> for CountVec {
 }
 
 impl FromIterator<u32> for CountVec {
+    /// Inline when the iterator yields at most [`INLINE_CAP`] counters;
+    /// otherwise one heap buffer sized from the iterator's lower bound.
     fn from_iter<I: IntoIterator<Item = u32>>(iter: I) -> Self {
-        let mut out = Self::new();
+        let iter = iter.into_iter();
+        let (lower, _) = iter.size_hint();
+        let mut out = if lower > INLINE_CAP {
+            Self(Repr::Spilled(Vec::with_capacity(lower)))
+        } else {
+            Self::new()
+        };
         for v in iter {
             out.push(v);
         }

@@ -27,8 +27,11 @@ use crate::message::Message;
 ///
 /// // Deliver the effect before its cause: the buffer holds it back.
 /// let mut buffer = CausalBuffer::new();
-/// assert!(buffer.push(m2.clone()).is_empty());
-/// assert_eq!(buffer.push(m1.clone()), vec![m1, m2]);
+/// let mut out = Vec::new();
+/// buffer.push(m2.clone(), |m| out.push(m));
+/// assert!(out.is_empty());
+/// buffer.push(m1.clone(), |m| out.push(m));
+/// assert_eq!(out, vec![m1, m2]);
 /// assert!(buffer.is_drained());
 /// ```
 #[derive(Clone, Debug, Default)]
@@ -69,27 +72,40 @@ impl CausalBuffer {
             .all(|(j, v)| j == t || self.delivered_count(j) >= v)
     }
 
-    /// Offers a message; returns every message that became deliverable
-    /// (in a causally consistent order), possibly including this one.
-    pub fn push(&mut self, message: Message) -> Vec<Message> {
-        self.pending.push(message);
-        self.max_pending = self.max_pending.max(self.pending.len());
-        let mut out = Vec::new();
+    /// Offers a message and hands every message that became deliverable to
+    /// `deliver`, in a causally consistent order, possibly including this
+    /// one.
+    ///
+    /// Nothing in `pending` is deliverable between calls, and only a
+    /// delivery can change that. So a message that cannot be delivered is
+    /// parked without a scan, and one that can is delivered at once; only
+    /// then is `pending` searched for what it unblocked. An in-order
+    /// stream therefore never scans and never allocates.
+    pub fn push(&mut self, message: Message, mut deliver: impl FnMut(Message)) {
+        self.max_pending = self.max_pending.max(self.pending.len() + 1);
+        if !self.is_deliverable(&message) {
+            self.pending.push(message);
+            return;
+        }
+        self.mark_delivered(message.thread());
+        deliver(message);
         while let Some(pos) = self.pending.iter().position(|m| self.is_deliverable(m)) {
             let m = self.pending.swap_remove(pos);
             self.mark_delivered(m.thread());
-            out.push(m);
+            deliver(m);
         }
-        out
     }
 
-    /// Offers many messages, returning all deliveries in causal order.
-    pub fn push_all(&mut self, messages: impl IntoIterator<Item = Message>) -> Vec<Message> {
-        let mut out = Vec::new();
+    /// Offers many messages, handing every delivery to `deliver` in causal
+    /// order.
+    pub fn push_all(
+        &mut self,
+        messages: impl IntoIterator<Item = Message>,
+        mut deliver: impl FnMut(Message),
+    ) {
         for m in messages {
-            out.extend(self.push(m));
+            self.push(m, &mut deliver);
         }
-        out
     }
 
     /// Messages still waiting for predecessors.
@@ -145,11 +161,24 @@ mod tests {
             .collect()
     }
 
+    /// Every delivery of one `push`, collected.
+    fn push(buf: &mut CausalBuffer, m: Message) -> Vec<Message> {
+        let mut out = Vec::new();
+        buf.push(m, |d| out.push(d));
+        out
+    }
+
+    fn push_all(buf: &mut CausalBuffer, msgs: Vec<Message>) -> Vec<Message> {
+        let mut out = Vec::new();
+        buf.push_all(msgs, |d| out.push(d));
+        out
+    }
+
     #[test]
     fn in_order_passthrough() {
         let msgs = chained();
         let mut buf = CausalBuffer::new();
-        let out = buf.push_all(msgs.clone());
+        let out = push_all(&mut buf, msgs.clone());
         assert_eq!(out, msgs);
         assert!(buf.is_drained());
         assert_eq!(buf.total_delivered(), 3);
@@ -161,7 +190,7 @@ mod tests {
         let mut buf = CausalBuffer::new();
         let mut rev = msgs.clone();
         rev.reverse();
-        let out = buf.push_all(rev);
+        let out = push_all(&mut buf, rev);
         assert_eq!(out, msgs);
         assert!(buf.is_drained());
         assert!(buf.max_pending() >= 2);
@@ -191,7 +220,7 @@ mod tests {
             let mut buf = CausalBuffer::new();
             let mut out = Vec::new();
             for &i in &perm {
-                out.extend(buf.push(msgs[i].clone()));
+                out.extend(push(&mut buf, msgs[i].clone()));
             }
             assert_eq!(out.len(), 4, "perm {perm:?} lost messages");
             assert!(buf.is_drained());
@@ -237,18 +266,18 @@ mod tests {
         let m2 = a.process(&Event::write(ThreadId(1), VarId(1), 2)).unwrap();
         assert!(m1.concurrent_with(&m2));
         let mut buf = CausalBuffer::new();
-        assert_eq!(buf.push(m2.clone()), vec![m2]);
-        assert_eq!(buf.push(m1.clone()), vec![m1]);
+        assert_eq!(push(&mut buf, m2.clone()), vec![m2]);
+        assert_eq!(push(&mut buf, m1.clone()), vec![m1]);
     }
 
     #[test]
     fn missing_predecessor_blocks() {
         let msgs = chained();
         let mut buf = CausalBuffer::new();
-        assert!(buf.push(msgs[2].clone()).is_empty());
-        assert!(buf.push(msgs[1].clone()).is_empty());
+        assert!(push(&mut buf, msgs[2].clone()).is_empty());
+        assert!(push(&mut buf, msgs[1].clone()).is_empty());
         assert_eq!(buf.pending_len(), 2);
-        let out = buf.push(msgs[0].clone());
+        let out = push(&mut buf, msgs[0].clone());
         assert_eq!(out, msgs);
     }
 }

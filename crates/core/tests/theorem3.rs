@@ -171,7 +171,7 @@ proptest! {
         let mut buf = CausalBuffer::new();
         let mut delivered = Vec::new();
         for &i in &order {
-            delivered.extend(buf.push(msgs[i].clone()));
+            buf.push(msgs[i].clone(), |m| delivered.push(m));
         }
         prop_assert!(buf.is_drained(), "buffer still holds {} messages", buf.pending_len());
         prop_assert_eq!(delivered.len(), msgs.len());

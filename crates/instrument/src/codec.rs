@@ -80,8 +80,11 @@ impl std::error::Error for CodecError {}
 // CRC-32 (IEEE 802.3), hand-rolled — no external dependency.
 // ---------------------------------------------------------------------------
 
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slice-by-8 tables: `CRC32_TABLES[0]` is the classic byte table, and
+/// `CRC32_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes,
+/// so eight input bytes fold into the CRC with eight independent lookups.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -94,35 +97,64 @@ const CRC32_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// CRC-32 (IEEE) of `data` — the checksum protecting every payload.
 #[must_use]
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC32_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
 
 /// Appends one frame (magic + version + length + CRC-32 + payload) to
-/// `out`.
+/// `out`. The payload is written in place after a header whose length
+/// and CRC are filled in once it is complete.
 pub fn encode_frame_v2(message: &Message, out: &mut BytesMut) {
-    let payload = encode_payload(message);
+    let start = out.len();
     out.put_u8(MAGIC);
     out.put_u8(VERSION);
-    out.put_u32_le(payload.len() as u32);
-    out.put_u32_le(crc32(&payload));
-    out.extend_from_slice(&payload);
+    out.put_u32_le(0);
+    out.put_u32_le(0);
+    encode_payload(message, out);
+    let payload = &out[start + HEADER_LEN..];
+    let len = (payload.len() as u32).to_le_bytes();
+    let crc = crc32(payload).to_le_bytes();
+    out[start + 2..start + 6].copy_from_slice(&len);
+    out[start + 6..start + HEADER_LEN].copy_from_slice(&crc);
 }
 
-fn encode_payload(message: &Message) -> BytesMut {
-    let mut payload = BytesMut::with_capacity(32);
+fn encode_payload(message: &Message, payload: &mut BytesMut) {
     payload.put_u32_le(message.event.thread.0);
     match message.event.kind {
         EventKind::Internal => payload.put_u8(0),
@@ -151,7 +183,6 @@ fn encode_payload(message: &Message) -> BytesMut {
     for &c in clock {
         payload.put_u32_le(c);
     }
-    payload
 }
 
 /// Fault accounting of one decoded stream, from
@@ -322,13 +353,15 @@ fn decode_payload(payload: &[u8]) -> Result<Message, CodecError> {
     };
     let n = usize::from(u16::from_le_bytes(f.take()?));
     let clock = f.0.get(..n * 4).ok_or(CodecError::Truncated)?;
-    let components: Vec<u32> = clock
+    // Collected straight into the clock: inline up to `INLINE_CAP`
+    // components, one exactly sized buffer beyond.
+    let clock: VectorClock = clock
         .chunks_exact(4)
         .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
         .collect();
     let message = Message {
         event: Event { thread, kind },
-        clock: VectorClock::from_components(components),
+        clock,
     };
     if message.seq() == 0 {
         return Err(CodecError::Unsequenced);

@@ -16,15 +16,16 @@
 //! Like the race detector, this runs over the crate's sync-only
 //! happens-before (`SyncClocks`) rather
 //! than Algorithm A's data-causality clocks, which would order exactly
-//! the interleavings the checker must flag.
+//! the interleavings the checker must flag, and it keeps each remote
+//! access as an epoch, not a clock.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use jmpax_core::{AnalysisKind, Event, EventKind, ThreadId, VarId, VectorClock};
 use jmpax_telemetry::Registry;
-use jmpax_trace::{TraceKind, TraceRing, Tracer};
+use jmpax_trace::Tracer;
 
-use super::{Analysis, AnalysisReport, SyncClocks};
+use super::{newly_marked, Analysis, AnalysisReport, Findings, LastAccesses, SyncClocks};
 use crate::reassemble::Exactness;
 
 /// Default bound on retained [`AtomicityFinding`]s (total violations are
@@ -101,35 +102,32 @@ struct FirstAccess {
     write: Option<u64>,
 }
 
-/// One thread's lock nesting and open transaction.
+/// One thread's lock nesting and open transaction. The first-access
+/// table is cleared, not dropped, between transactions, so it keeps its
+/// storage.
 #[derive(Clone, Debug, Default)]
 struct ThreadTxn {
     depth: u64,
-    vars: BTreeMap<VarId, FirstAccess>,
+    vars: HashMap<VarId, FirstAccess>,
 }
 
-/// Per-variable last access of each thread, by kind.
-#[derive(Clone, Debug, Default)]
-struct Accesses {
-    reads: BTreeMap<ThreadId, (u64, VectorClock)>,
-    writes: BTreeMap<ThreadId, (u64, VectorClock)>,
-}
+/// The dedup key of a violation: `(variable, transaction thread, remote
+/// thread)`.
+type AtomicityKey = (VarId, ThreadId, ThreadId);
 
 /// The pluggable conflict-atomicity checker.
 #[derive(Debug)]
 pub struct AtomicityAnalysis {
     hb: SyncClocks,
     threads: Vec<ThreadTxn>,
-    vars: BTreeMap<VarId, Accesses>,
+    /// Per variable, each thread's last read and write by global
+    /// delivered index.
+    vars: BTreeMap<VarId, LastAccesses<u64>>,
     /// Global delivered-event index (1-based).
     index: u64,
-    findings: Vec<AtomicityFinding>,
-    seen: BTreeSet<(VarId, ThreadId, ThreadId)>,
-    violations_found: u64,
+    findings: Findings<AtomicityFinding, AtomicityKey>,
     transactions: u64,
     accesses_checked: u64,
-    max_findings: usize,
-    ring: TraceRing,
 }
 
 impl AtomicityAnalysis {
@@ -143,20 +141,16 @@ impl AtomicityAnalysis {
             threads: vec![ThreadTxn::default(); threads.max(1)],
             vars: BTreeMap::new(),
             index: 0,
-            findings: Vec::new(),
-            seen: BTreeSet::new(),
-            violations_found: 0,
+            findings: Findings::new("atomicity", DEFAULT_MAX_FINDINGS),
             transactions: 0,
             accesses_checked: 0,
-            max_findings: DEFAULT_MAX_FINDINGS,
-            ring: TraceRing::disabled(),
         }
     }
 
     /// Bounds the retained findings list (`0` keeps none, only counts).
     #[must_use]
     pub fn with_max_findings(mut self, max: usize) -> Self {
-        self.max_findings = max;
+        self.findings.max = max;
         self
     }
 
@@ -164,7 +158,7 @@ impl AtomicityAnalysis {
     /// lane.
     #[must_use]
     pub fn with_trace(mut self, tracer: &Tracer) -> Self {
-        self.ring = tracer.ring("analysis.atomicity");
+        self.findings.ring = tracer.ring("analysis.atomicity");
         self
     }
 
@@ -173,16 +167,9 @@ impl AtomicityAnalysis {
         self.threads.iter().filter(|t| t.depth > 0).count() as u64
     }
 
-    fn txn_slot(&mut self, t: ThreadId) -> &mut ThreadTxn {
-        if self.threads.len() <= t.index() {
-            self.threads.resize(t.index() + 1, ThreadTxn::default());
-        }
-        &mut self.threads[t.index()]
-    }
-
     /// Applies a lock acquire/release (a write to a sync variable).
     fn on_lock(&mut self, t: ThreadId, acquire: bool) {
-        let slot = self.txn_slot(t);
+        let slot = &mut self.threads[t.index()];
         if acquire {
             slot.depth += 1;
             if slot.depth == 1 {
@@ -196,79 +183,6 @@ impl AtomicityAnalysis {
             }
         }
     }
-
-    fn report(&mut self, finding: AtomicityFinding) {
-        let key = (finding.var, finding.thread, finding.other);
-        if !self.seen.insert(key) {
-            return;
-        }
-        self.violations_found += 1;
-        self.ring.record(TraceKind::Finding {
-            analysis: "atomicity",
-            var: Some(finding.var.0),
-        });
-        if self.findings.len() < self.max_findings {
-            self.findings.push(finding);
-        }
-    }
-
-    /// Looks for a remote access sandwiched between the transaction's
-    /// first conflicting access to `var` and the current one.
-    fn check_sandwich(&mut self, t: ThreadId, var: VarId, is_write: bool, me: &VectorClock) {
-        let Some(first) = self
-            .threads
-            .get(t.index())
-            .filter(|s| s.depth > 0)
-            .and_then(|s| s.vars.get(&var).copied())
-        else {
-            return;
-        };
-        let second = self.index;
-        let Some(state) = self.vars.get(&var) else {
-            return;
-        };
-        let mut found: Vec<AtomicityFinding> = Vec::new();
-        // A remote write conflicts with any transactional access…
-        let fi_write = match (first.read, first.write) {
-            (Some(r), Some(w)) => Some(r.min(w)),
-            (r, w) => r.or(w),
-        };
-        if let Some(fi) = fi_write {
-            for (&u, &(uidx, ref uclock)) in &state.writes {
-                if u != t && fi < uidx && !uclock.le(me) {
-                    found.push(AtomicityFinding {
-                        var,
-                        thread: t,
-                        other: u,
-                        first: fi,
-                        interleaved: uidx,
-                        second,
-                    });
-                }
-            }
-        }
-        // …a remote read only with transactional writes, and only when
-        // the current access writes too.
-        if is_write {
-            if let Some(fi) = first.write {
-                for (&u, &(uidx, ref uclock)) in &state.reads {
-                    if u != t && fi < uidx && !uclock.le(me) {
-                        found.push(AtomicityFinding {
-                            var,
-                            thread: t,
-                            other: u,
-                            first: fi,
-                            interleaved: uidx,
-                            second,
-                        });
-                    }
-                }
-            }
-        }
-        for f in found {
-            self.report(f);
-        }
-    }
 }
 
 impl Analysis for AtomicityAnalysis {
@@ -278,9 +192,12 @@ impl Analysis for AtomicityAnalysis {
 
     fn on_event(&mut self, event: &Event, _clock: &VectorClock) {
         let t = event.thread;
-        let me = self.hb.observe(event);
+        self.hb.observe(event);
+        if self.threads.len() <= t.index() {
+            self.threads.resize(t.index() + 1, ThreadTxn::default());
+        }
         self.index += 1;
-        let index = self.index;
+        let second = self.index;
         let (var, is_write) = match event.kind {
             EventKind::Read { var } => (var, false),
             EventKind::Write { var, ref value } => {
@@ -293,29 +210,48 @@ impl Analysis for AtomicityAnalysis {
             EventKind::Internal => return,
         };
         self.accesses_checked += 1;
-        self.check_sandwich(t, var, is_write, &me);
-        // Record the access: into the open transaction's first-access
-        // table, and into the global last-access table for other
-        // threads' sandwich checks.
-        let slot = self.txn_slot(t);
-        if slot.depth > 0 {
-            let first = slot.vars.entry(var).or_default();
+        let me = self.hb.clock(t);
+        let txn = &mut self.threads[t.index()];
+        let state = self.vars.entry(var).or_default();
+        if txn.depth > 0 {
+            // Look for a remote access sandwiched between the
+            // transaction's first conflicting access to `var` and this one.
+            let first = txn.vars.entry(var).or_default();
+            let sandwiches = [
+                // A remote write conflicts with any transactional access…
+                (true, first.read.into_iter().chain(first.write).min()),
+                // …a remote read only with transactional writes, and only
+                // when the current access writes too.
+                (false, first.write.filter(|_| is_write)),
+            ];
+            for (remote_writes, fi) in sandwiches {
+                let Some(fi) = fi else { continue };
+                for (u, interleaved, reported) in state.unordered(remote_writes, t, me) {
+                    if fi < interleaved && newly_marked(reported, t, false) {
+                        let finding = AtomicityFinding {
+                            var,
+                            thread: t,
+                            other: u,
+                            first: fi,
+                            interleaved,
+                            second,
+                        };
+                        self.findings.report((var, t, u), var, finding);
+                    }
+                }
+            }
+            // Record the access in the open transaction's first-access
+            // table…
             let target = if is_write {
                 &mut first.write
             } else {
                 &mut first.read
             };
-            if target.is_none() {
-                *target = Some(index);
-            }
+            target.get_or_insert(second);
         }
-        let state = self.vars.entry(var).or_default();
-        let table = if is_write {
-            &mut state.writes
-        } else {
-            &mut state.reads
-        };
-        table.insert(t, (index, me));
+        // …and in the last-access table for other threads' sandwich
+        // checks.
+        state.record(t, is_write, second, self.hb.epoch(t));
     }
 
     fn record(&self, registry: &Registry) {
@@ -326,8 +262,8 @@ impl Analysis for AtomicityAnalysis {
 
     fn finish(self: Box<Self>, transport: Exactness) -> AnalysisReport {
         AnalysisReport::Atomicity(AtomicityReport {
-            findings: self.findings,
-            violations_found: self.violations_found,
+            findings: self.findings.list,
+            violations_found: self.findings.found,
             transactions: self.transactions,
             accesses_checked: self.accesses_checked,
             exactness: transport,

@@ -37,14 +37,16 @@
 pub mod atomicity;
 pub mod race;
 
-use std::collections::BTreeMap;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::hash::Hash;
 use std::sync::Arc;
 
-use jmpax_core::{AnalysisKind, CausalBuffer, Event, EventKind, Message, VarId, VectorClock};
+use jmpax_core::{
+    AnalysisKind, CausalBuffer, Event, EventKind, Message, ThreadId, VarId, VectorClock,
+};
 use jmpax_spec::{Monitor, ProgramState};
 use jmpax_telemetry::Registry;
-use jmpax_trace::Tracer;
+use jmpax_trace::{TraceKind, TraceRing, Tracer};
 
 use crate::builder::{StreamReport, StreamingAnalyzer};
 use crate::config::AnalysisConfig;
@@ -298,32 +300,19 @@ impl AnalysisSuite {
     /// Offers one message (any arrival order); every event that becomes
     /// causally deliverable is dispatched to every analysis.
     pub fn push(&mut self, message: Message) {
-        for delivered in self.buffer.push(message) {
-            for a in &mut self.analyses {
+        let (analyses, levels_seen, ltl) = (&mut self.analyses, &mut self.levels_seen, self.ltl);
+        self.buffer.push(message, |delivered| {
+            for a in analyses.iter_mut() {
                 a.on_event(&delivered.event, &delivered.clock);
             }
-            self.fan_out_seals();
-        }
+            fan_out_seals(analyses, ltl, levels_seen);
+        });
     }
 
     /// Offers many messages.
     pub fn push_all(&mut self, messages: impl IntoIterator<Item = Message>) {
         for m in messages {
             self.push(m);
-        }
-    }
-
-    /// Propagates lattice level seals from the ptLTL analysis to every
-    /// other analysis in the suite.
-    fn fan_out_seals(&mut self) {
-        let Some(ltl) = self.ltl else { return };
-        let sealed = self.analyses[ltl].levels_sealed();
-        while self.levels_seen < sealed {
-            self.levels_seen += 1;
-            let level = self.levels_seen;
-            for a in &mut self.analyses {
-                a.on_level_sealed(level);
-            }
         }
     }
 
@@ -335,7 +324,7 @@ impl AnalysisSuite {
     pub fn finish(mut self, transport: Exactness) -> SuiteReport {
         let stranded = self.buffer.pending_len() as u64;
         let exact = transport.combine(Exactness::degraded(0, stranded));
-        self.fan_out_seals();
+        fan_out_seals(&mut self.analyses, self.ltl, &mut self.levels_seen);
         let mut reports = Vec::with_capacity(self.analyses.len());
         for a in self.analyses {
             a.record(&self.registry);
@@ -344,6 +333,19 @@ impl AnalysisSuite {
             reports.push(report);
         }
         SuiteReport { reports }
+    }
+}
+
+/// Propagates lattice level seals from the ptLTL analysis (index `ltl`)
+/// to every analysis in the suite.
+fn fan_out_seals(analyses: &mut [Box<dyn Analysis>], ltl: Option<usize>, levels_seen: &mut u64) {
+    let Some(ltl) = ltl else { return };
+    let sealed = analyses[ltl].levels_sealed();
+    while *levels_seen < sealed {
+        *levels_seen += 1;
+        for a in analyses.iter_mut() {
+            a.on_level_sealed(*levels_seen);
+        }
     }
 }
 
@@ -556,6 +558,12 @@ impl Analysis for LtlLatticeAnalysis {
 /// data-causality edges**: Algorithm A's own `V_i` clocks order a read
 /// after the write it observed, which would hide exactly the races and
 /// serializability violations these analyses exist to find.
+///
+/// **Epochs.** Only thread `u` ticks component `u`, and every other clock
+/// learns it through joins with clocks of `u`'s past. So for an event `e`
+/// of thread `u`, `C_e ≤ C_f` iff `C_e[u] ≤ C_f[u]`: the analyses keep
+/// each access's *epoch* `C_e[u]` (see [`SyncClocks::epoch`]) instead of
+/// its whole clock, and test happens-before with one comparison.
 #[derive(Clone, Debug)]
 pub(crate) struct SyncClocks {
     sync: BTreeSet<VarId>,
@@ -583,31 +591,171 @@ impl SyncClocks {
         self.transfers
     }
 
-    /// Advances the clocks past `event` and returns the thread's clock
-    /// after it.
-    pub(crate) fn observe(&mut self, event: &Event) -> VectorClock {
+    /// Advances the clocks past `event`.
+    pub(crate) fn observe(&mut self, event: &Event) {
         let t = event.thread;
         if self.clocks.len() <= t.index() {
             self.clocks
                 .resize(t.index() + 1, VectorClock::with_threads(self.clocks.len()));
         }
-        self.clocks[t.index()].tick(t);
+        let clock = &mut self.clocks[t.index()];
+        clock.tick(t);
         if let EventKind::Write { var, .. } = event.kind {
             if self.sync.contains(&var) {
                 let slot = self.vars.entry(var).or_default();
-                self.clocks[t.index()].join(slot);
-                *slot = self.clocks[t.index()].clone();
+                clock.join(slot);
+                slot.clone_from(clock);
                 self.transfers += 1;
             }
         }
-        self.clocks[t.index()].clone()
+    }
+
+    /// Thread `t`'s clock after its last observed event.
+    pub(crate) fn clock(&self, t: ThreadId) -> &VectorClock {
+        &self.clocks[t.index()]
+    }
+
+    /// Thread `t`'s epoch: its own component after its last observed
+    /// event.
+    pub(crate) fn epoch(&self, t: ThreadId) -> u32 {
+        self.clocks[t.index()].get(t)
+    }
+}
+
+/// The last access of each thread to one variable, by kind. Slot `u`
+/// holds thread `u`'s last access `A` and its epoch, so scanning a table
+/// visits threads in ascending order.
+#[derive(Clone, Debug)]
+pub(crate) struct LastAccesses<A> {
+    reads: Vec<Option<Slot<A>>>,
+    writes: Vec<Option<Slot<A>>>,
+}
+
+/// One thread's last access of one kind, and a mark of the findings
+/// already reported against the slot (see [`newly_marked`]). The mark
+/// outlives the access: a finding's dedup key names the slot's thread and
+/// kind, not the access.
+#[derive(Clone, Copy, Debug)]
+struct Slot<A> {
+    access: A,
+    epoch: u32,
+    reported: u64,
+}
+
+impl<A> Default for LastAccesses<A> {
+    fn default() -> Self {
+        Self {
+            reads: Vec::new(),
+            writes: Vec::new(),
+        }
+    }
+}
+
+impl<A: Copy> LastAccesses<A> {
+    /// Makes `access` (epoch `epoch`) thread `t`'s last access of its
+    /// kind.
+    pub(crate) fn record(&mut self, t: ThreadId, is_write: bool, access: A, epoch: u32) {
+        let table = if is_write {
+            &mut self.writes
+        } else {
+            &mut self.reads
+        };
+        if table.len() <= t.index() {
+            table.resize(t.index() + 1, None);
+        }
+        let reported = table[t.index()].map_or(0, |slot| slot.reported);
+        table[t.index()] = Some(Slot {
+            access,
+            epoch,
+            reported,
+        });
+    }
+
+    /// The last accesses of the given kind by threads other than `t` that
+    /// do not happen before `me` (thread `t`'s current clock), in
+    /// ascending thread order, each with its slot's report mark.
+    pub(crate) fn unordered<'a>(
+        &'a mut self,
+        is_write: bool,
+        t: ThreadId,
+        me: &'a VectorClock,
+    ) -> impl Iterator<Item = (ThreadId, A, &'a mut u64)> + 'a {
+        let table = if is_write {
+            &mut self.writes
+        } else {
+            &mut self.reads
+        };
+        let known = me.as_slice();
+        table.iter_mut().enumerate().filter_map(move |(u, slot)| {
+            let slot = slot.as_mut()?;
+            let seen = known.get(u).copied().unwrap_or(0);
+            (slot.epoch > seen && u != t.index()).then_some((
+                ThreadId(u as u32),
+                slot.access,
+                &mut slot.reported,
+            ))
+        })
+    }
+}
+
+/// Marks, in a slot's report mark, a finding by thread `t` whose own
+/// access writes iff `w`; false when the mark already held it, so the
+/// finding is a repeat and its dedup key need not be hashed again.
+/// Threads from 32 on do not fit the mark: their findings always go to
+/// [`Findings`], whose set decides.
+pub(crate) fn newly_marked(reported: &mut u64, t: ThreadId, w: bool) -> bool {
+    let bit = 2 * t.index() + usize::from(w);
+    if bit >= 64 {
+        return true;
+    }
+    let fresh = *reported & (1 << bit) == 0;
+    *reported |= 1 << bit;
+    fresh
+}
+
+/// The deduplicated, budgeted findings of one analysis: every distinct
+/// key counts once, and at most `max` findings are kept.
+#[derive(Debug)]
+pub(crate) struct Findings<F, K> {
+    pub(crate) list: Vec<F>,
+    seen: HashSet<K>,
+    pub(crate) found: u64,
+    pub(crate) max: usize,
+    analysis: &'static str,
+    pub(crate) ring: TraceRing,
+}
+
+impl<F, K: Hash + Eq> Findings<F, K> {
+    pub(crate) fn new(analysis: &'static str, max: usize) -> Self {
+        Self {
+            list: Vec::new(),
+            seen: HashSet::new(),
+            found: 0,
+            max,
+            analysis,
+            ring: TraceRing::disabled(),
+        }
+    }
+
+    /// Records `finding` on `var` unless its key was seen before.
+    pub(crate) fn report(&mut self, key: K, var: VarId, finding: F) {
+        if !self.seen.insert(key) {
+            return;
+        }
+        self.found += 1;
+        self.ring.record(TraceKind::Finding {
+            analysis: self.analysis,
+            var: Some(var.0),
+        });
+        if self.list.len() < self.max {
+            self.list.push(finding);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jmpax_core::ThreadId;
 
     const T0: ThreadId = ThreadId(0);
     const T1: ThreadId = ThreadId(1);
@@ -617,18 +765,24 @@ mod tests {
     #[test]
     fn sync_clocks_order_lock_transfer() {
         let mut hb = SyncClocks::new(2, [M].into_iter().collect());
-        let release = hb.observe(&Event::write(T0, M, 0));
-        let acquire = hb.observe(&Event::write(T1, M, 1));
-        assert!(release.le(&acquire), "{release} vs {acquire}");
+        hb.observe(&Event::write(T0, M, 0));
+        let release = hb.clock(T0).clone();
+        hb.observe(&Event::write(T1, M, 1));
+        let acquire = hb.clock(T1);
+        assert!(release.le(acquire), "{release} vs {acquire}");
+        assert!(hb.epoch(T0) <= acquire.get(T0));
         assert_eq!(hb.transfers(), 2);
     }
 
     #[test]
     fn sync_clocks_keep_data_accesses_concurrent() {
         let mut hb = SyncClocks::new(2, BTreeSet::new());
-        let a = hb.observe(&Event::write(T0, X, 1));
-        let b = hb.observe(&Event::write(T1, X, 2));
-        assert!(a.concurrent(&b));
+        hb.observe(&Event::write(T0, X, 1));
+        let a = hb.clock(T0).clone();
+        hb.observe(&Event::write(T1, X, 2));
+        let b = hb.clock(T1);
+        assert!(a.concurrent(b));
+        assert!(hb.epoch(T0) > b.get(T0));
     }
 
     #[test]

@@ -3,11 +3,13 @@
 //! A data race is two conflicting accesses (same variable, at least one a
 //! write, different threads) unordered by the *synchronization-only*
 //! happens-before: program order plus lock acquire/release transfer on
-//! the Section 3.1 lock pseudo-variables. The detector keeps per-variable
-//! read/write clock sets and applies the classic `leq` predicate — an
-//! access races with an earlier remote access iff the earlier access's
-//! clock is not `≤` the current thread's clock (Djit⁺ / FastTrack
-//! lineage).
+//! the Section 3.1 lock pseudo-variables. The detector keeps, per
+//! variable, each thread's last read and last write with its *epoch* and
+//! applies the classic `leq` predicate — an access races with an earlier
+//! remote access iff the earlier access's clock is not `≤` the current
+//! thread's clock (Djit⁺ / FastTrack lineage). On these sync-only clocks
+//! that test is one comparison, the earlier access's epoch against the
+//! current clock's component for its thread (`SyncClocks`' epoch lemma).
 //!
 //! Deliberately **not** built on Algorithm A's `V_i` clocks: those encode
 //! data causality (a read is ordered after the write it observed), which
@@ -20,9 +22,9 @@ use std::fmt;
 
 use jmpax_core::{AnalysisKind, Event, EventKind, ThreadId, VarId, VectorClock};
 use jmpax_telemetry::Registry;
-use jmpax_trace::{TraceKind, TraceRing, Tracer};
+use jmpax_trace::Tracer;
 
-use super::{Analysis, AnalysisReport, SyncClocks};
+use super::{newly_marked, Analysis, AnalysisReport, Findings, LastAccesses, SyncClocks};
 use crate::reassemble::Exactness;
 
 /// Default bound on retained [`RaceFinding`]s (total races are always
@@ -103,26 +105,19 @@ impl RaceReport {
     }
 }
 
-/// Per-variable clock sets: the last access of each thread, by kind.
-#[derive(Clone, Debug, Default)]
-struct VarState {
-    reads: BTreeMap<ThreadId, (RaceAccess, VectorClock)>,
-    writes: BTreeMap<ThreadId, (RaceAccess, VectorClock)>,
-}
+/// The dedup key of a race: `(variable, first thread, first is a write,
+/// second thread, second is a write)`.
+type RaceKey = (VarId, ThreadId, bool, ThreadId, bool);
 
 /// The pluggable happens-before race detector.
 #[derive(Debug)]
 pub struct RaceAnalysis {
     hb: SyncClocks,
-    vars: BTreeMap<VarId, VarState>,
+    vars: BTreeMap<VarId, LastAccesses<RaceAccess>>,
     /// 1-based per-thread delivered-access counters.
     indices: Vec<u64>,
-    findings: Vec<RaceFinding>,
-    seen: BTreeSet<(VarId, ThreadId, bool, ThreadId, bool)>,
-    races_found: u64,
+    findings: Findings<RaceFinding, RaceKey>,
     accesses_checked: u64,
-    max_findings: usize,
-    ring: TraceRing,
 }
 
 impl RaceAnalysis {
@@ -135,19 +130,15 @@ impl RaceAnalysis {
             hb: SyncClocks::new(threads, sync_vars),
             vars: BTreeMap::new(),
             indices: vec![0; threads.max(1)],
-            findings: Vec::new(),
-            seen: BTreeSet::new(),
-            races_found: 0,
+            findings: Findings::new("race", DEFAULT_MAX_FINDINGS),
             accesses_checked: 0,
-            max_findings: DEFAULT_MAX_FINDINGS,
-            ring: TraceRing::disabled(),
         }
     }
 
     /// Bounds the retained findings list (`0` keeps none, only counts).
     #[must_use]
     pub fn with_max_findings(mut self, max: usize) -> Self {
-        self.max_findings = max;
+        self.findings.max = max;
         self
     }
 
@@ -155,37 +146,8 @@ impl RaceAnalysis {
     /// lane.
     #[must_use]
     pub fn with_trace(mut self, tracer: &Tracer) -> Self {
-        self.ring = tracer.ring("analysis.race");
+        self.findings.ring = tracer.ring("analysis.race");
         self
-    }
-
-    fn bump_index(&mut self, t: ThreadId) -> u64 {
-        if self.indices.len() <= t.index() {
-            self.indices.resize(t.index() + 1, 0);
-        }
-        self.indices[t.index()] += 1;
-        self.indices[t.index()]
-    }
-
-    fn report(&mut self, var: VarId, first: RaceAccess, second: RaceAccess) {
-        let key = (
-            var,
-            first.thread,
-            first.is_write,
-            second.thread,
-            second.is_write,
-        );
-        if !self.seen.insert(key) {
-            return;
-        }
-        self.races_found += 1;
-        self.ring.record(TraceKind::Finding {
-            analysis: "race",
-            var: Some(var.0),
-        });
-        if self.findings.len() < self.max_findings {
-            self.findings.push(RaceFinding { var, first, second });
-        }
     }
 }
 
@@ -196,7 +158,7 @@ impl Analysis for RaceAnalysis {
 
     fn on_event(&mut self, event: &Event, _clock: &VectorClock) {
         let t = event.thread;
-        let me = self.hb.observe(event);
+        self.hb.observe(event);
         let (var, is_write) = match event.kind {
             EventKind::Read { var } => (var, false),
             EventKind::Write { var, .. } => (var, true),
@@ -205,36 +167,31 @@ impl Analysis for RaceAnalysis {
         if self.hb.is_sync(var) {
             return;
         }
-        let index = self.bump_index(t);
+        if self.indices.len() <= t.index() {
+            self.indices.resize(t.index() + 1, 0);
+        }
+        self.indices[t.index()] += 1;
         self.accesses_checked += 1;
-        let access = RaceAccess {
+        let second = RaceAccess {
             thread: t,
-            index,
+            index: self.indices[t.index()],
             is_write,
         };
+        let me = self.hb.clock(t);
         let state = self.vars.entry(var).or_default();
-        let mut races: Vec<(RaceAccess, RaceAccess)> = Vec::new();
-        for (&u, (prev, prev_clock)) in &state.writes {
-            if u != t && !prev_clock.le(&me) {
-                races.push((*prev, access));
-            }
-        }
-        if is_write {
-            for (&u, (prev, prev_clock)) in &state.reads {
-                if u != t && !prev_clock.le(&me) {
-                    races.push((*prev, access));
+        // A write races with remote writes and reads, a read with remote
+        // writes; the write table is scanned first.
+        let tables: &[bool] = if is_write { &[true, false] } else { &[true] };
+        for &writes in tables {
+            for (u, first, reported) in state.unordered(writes, t, me) {
+                if newly_marked(reported, t, is_write) {
+                    let key = (var, u, first.is_write, t, is_write);
+                    self.findings
+                        .report(key, var, RaceFinding { var, first, second });
                 }
             }
         }
-        let slot = if is_write {
-            &mut state.writes
-        } else {
-            &mut state.reads
-        };
-        slot.insert(t, (access, me));
-        for (first, second) in races {
-            self.report(var, first, second);
-        }
+        state.record(t, is_write, second, self.hb.epoch(t));
     }
 
     fn record(&self, registry: &Registry) {
@@ -245,8 +202,8 @@ impl Analysis for RaceAnalysis {
 
     fn finish(self: Box<Self>, transport: Exactness) -> AnalysisReport {
         AnalysisReport::Race(RaceReport {
-            findings: self.findings,
-            races_found: self.races_found,
+            findings: self.findings.list,
+            races_found: self.findings.found,
             accesses_checked: self.accesses_checked,
             sync_transfers: self.hb.transfers(),
             exactness: transport,

@@ -597,7 +597,7 @@ impl StreamingAnalyzer {
     /// Offers one message (any delivery order) and advances the frontier as
     /// far as currently possible.
     pub fn push(&mut self, message: Message) {
-        for m in self.buffer.push(message) {
+        self.buffer.push(message, |m| {
             let t = m.thread().index();
             if self.delivered.len() <= t {
                 // A thread beyond the declared count: grow conservatively.
@@ -615,7 +615,7 @@ impl StreamingAnalyzer {
             // Between levels no worker holds the Arc, so this appends in
             // place without cloning the delivered prefixes.
             Arc::make_mut(&mut self.delivered)[t].push(m);
-        }
+        });
         self.advance();
     }
 

@@ -21,13 +21,14 @@
 //!   hidden.
 //!
 //! The skip step rewrites clocks with the monotone per-thread map
-//! `V'[j] = |{retained seq s of thread j : s ≤ V[j]}|`. Retained messages
-//! count themselves, so every strict inequality of Theorem 3 between two
-//! *surviving* messages is preserved: the causal order among what was
-//! actually received is exact, and only orderings through lost messages are
-//! forgotten.
+//! `V'[j] = |{retained seq s of thread j : s ≤ V[j]}|`, computed from the
+//! thread's few committed gaps rather than from a list of every retained
+//! seq. Retained messages count themselves, so every strict inequality of
+//! Theorem 3 between two *surviving* messages is preserved: the causal
+//! order among what was actually received is exact, and only orderings
+//! through lost messages are forgotten.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 use jmpax_core::{CausalBuffer, Message, ThreadId};
 use jmpax_telemetry::Registry;
@@ -192,18 +193,17 @@ impl ReassemblyReport {
     }
 }
 
-/// Per-thread reassembly state.
+/// Per-thread reassembly state. The messages themselves live in the
+/// [`Reassembler`]'s arena; a thread keeps only sequence numbers.
 #[derive(Clone, Debug, Default)]
 struct ThreadState {
-    /// Committed messages, tagged with their arrival index, in sequence
-    /// order. Invariant: their (original) seqs are exactly the sorted
-    /// retained subset of `1..=committed`.
-    emitted: Vec<(u64, Message)>,
-    /// Original seqs retained in `emitted` (sorted) — the domain of the
-    /// clock-remapping function.
-    retained: Vec<u32>,
-    /// Out-of-order arrivals waiting for their predecessors.
-    pending: BTreeMap<u32, (u64, Message)>,
+    /// Sequence numbers of out-of-order arrivals waiting for their
+    /// predecessors (their messages are already in the arena).
+    pending: BTreeSet<u32>,
+    /// This thread's committed gaps in ascending order, as `(from, to,
+    /// seqs lost before from)`. Every seq up to `committed` is either in
+    /// one of them or was delivered.
+    gaps: Vec<(u32, u32, u32)>,
     /// Highest sequence number committed (delivered or skipped).
     committed: u32,
     /// Highest sequence number ever seen from this thread.
@@ -214,27 +214,43 @@ struct ThreadState {
 }
 
 impl ThreadState {
-    /// Moves every now-contiguous pending message into `emitted`.
+    /// Commits every now-contiguous pending sequence number.
     fn drain_contiguous(&mut self) {
-        while let Some(entry) = self.pending.remove(&(self.committed + 1)) {
+        while self.pending.remove(&(self.committed + 1)) {
             self.committed += 1;
-            self.retained.push(self.committed);
-            self.emitted.push(entry);
         }
-        self.gap_age = if self.pending.is_empty() {
-            None
-        } else {
-            self.gap_age
-        };
+        if self.pending.is_empty() {
+            self.gap_age = None;
+        }
     }
 
     /// True when the next expected sequence number is missing while later
     /// ones wait.
     fn blocked(&self) -> bool {
         self.pending
-            .keys()
-            .next()
+            .first()
             .is_some_and(|&s| s > self.committed + 1)
+    }
+
+    /// The committed gap holding `seq`, with the seqs lost before it.
+    fn gap_at(&self, seq: u32) -> Option<(u32, u32, u32)> {
+        let i = self.gaps.partition_point(|&(from, _, _)| from <= seq);
+        i.checked_sub(1)
+            .map(|i| self.gaps[i])
+            .filter(|&(_, to, _)| seq <= to)
+    }
+
+    /// The renumbering map: how many delivered seqs of this thread are
+    /// `≤ v`, i.e. `v` (capped at `committed`) less the lost seqs up to
+    /// it.
+    fn renumber(&self, v: u32) -> u32 {
+        let v = v.min(self.committed);
+        let i = self.gaps.partition_point(|&(from, _, _)| from <= v);
+        let lost = i.checked_sub(1).map_or(0, |i| {
+            let (from, to, before) = self.gaps[i];
+            before + v.min(to) - from + 1
+        });
+        v - lost
     }
 }
 
@@ -245,11 +261,23 @@ impl ThreadState {
 /// message sequence with contiguous per-thread sequence numbers — exactly
 /// what [`crate::LatticeInput::from_messages`] requires — plus a
 /// [`ReassemblyReport`] accounting for everything the transport did.
+///
+/// Every message kept is stored once, in an arena in arrival order; the
+/// per-thread state holds only sequence numbers. An arrival that extends
+/// its thread's committed prefix with nothing pending commits without
+/// touching the pending set, and gap ageing scans the threads only once
+/// the oldest open gap can have expired.
 #[derive(Clone, Debug)]
 pub struct Reassembler {
     threads: Vec<ThreadState>,
+    /// Every message kept (neither a duplicate nor late), in arrival
+    /// order.
+    arena: Vec<Message>,
     stall_budget: u64,
     arrivals: u64,
+    /// No gap opened before this arrival is still open (`u64::MAX` when
+    /// none is).
+    oldest_gap: u64,
     report: ReassemblyReport,
     /// Trace ring (lane `"resilience"`) for committed gaps; disabled
     /// (free) by default.
@@ -281,8 +309,10 @@ impl Reassembler {
     pub fn with_stall_budget(stall_budget: u64) -> Self {
         Self {
             threads: Vec::new(),
+            arena: Vec::new(),
             stall_budget,
             arrivals: 0,
+            oldest_gap: u64::MAX,
             report: ReassemblyReport::default(),
             trace_ring: TraceRing::disabled(),
         }
@@ -297,19 +327,10 @@ impl Reassembler {
         self
     }
 
-    fn thread_mut(&mut self, t: ThreadId) -> &mut ThreadState {
-        if self.threads.len() <= t.index() {
-            self.threads
-                .resize_with(t.index() + 1, ThreadState::default);
-        }
-        &mut self.threads[t.index()]
-    }
-
     /// Offers one received message.
     pub fn push(&mut self, message: Message) {
         self.report.received += 1;
         self.arrivals += 1;
-        let arrival = self.arrivals;
         let t = message.thread();
         let seq = message.seq();
         if seq == 0 {
@@ -317,27 +338,32 @@ impl Reassembler {
             // attributable to any position and can never be delivered.
             self.report.late_dropped += 1;
         } else {
-            let state = self.thread_mut(t);
+            if self.threads.len() <= t.index() {
+                self.threads
+                    .resize_with(t.index() + 1, ThreadState::default);
+            }
+            let state = &mut self.threads[t.index()];
             if seq < state.max_seen {
                 self.report.reordered += 1;
             }
-            let state = self.thread_mut(t);
             state.max_seen = state.max_seen.max(seq);
             if seq <= state.committed {
                 // Either already delivered (duplicate) or inside a gap we
                 // gave up on (late arrival).
-                if state.retained.binary_search(&seq).is_ok() {
-                    self.report.duplicates += 1;
-                } else {
+                if state.gap_at(seq).is_some() {
                     self.report.late_dropped += 1;
+                } else {
+                    self.report.duplicates += 1;
                 }
-            } else if let std::collections::btree_map::Entry::Vacant(slot) =
-                state.pending.entry(seq)
-            {
-                slot.insert((arrival, message));
+            } else if seq == state.committed + 1 && state.pending.is_empty() {
+                state.committed = seq;
+                self.arena.push(message);
+            } else if state.pending.insert(seq) {
+                self.arena.push(message);
                 state.drain_contiguous();
                 if state.blocked() && state.gap_age.is_none() {
-                    state.gap_age = Some(arrival);
+                    state.gap_age = Some(self.arrivals);
+                    self.oldest_gap = self.oldest_gap.min(self.arrivals);
                 }
             } else {
                 self.report.duplicates += 1;
@@ -357,6 +383,9 @@ impl Reassembler {
     fn age_gaps(&mut self) {
         let now = self.arrivals;
         let budget = self.stall_budget;
+        if now.saturating_sub(self.oldest_gap) <= budget {
+            return;
+        }
         for t in 0..self.threads.len() {
             let state = &self.threads[t];
             let expired =
@@ -365,12 +394,18 @@ impl Reassembler {
                 self.skip_gap(ThreadId(t as u32));
             }
         }
+        self.oldest_gap = self
+            .threads
+            .iter()
+            .filter_map(|s| s.gap_age)
+            .min()
+            .unwrap_or(u64::MAX);
     }
 
     /// Commits thread `t`'s first gap as lost and drains what it unblocks.
     fn skip_gap(&mut self, t: ThreadId) {
         let state = &mut self.threads[t.index()];
-        let Some(&next) = state.pending.keys().next() else {
+        let Some(&next) = state.pending.first() else {
             return;
         };
         debug_assert!(next > state.committed + 1);
@@ -385,7 +420,12 @@ impl Reassembler {
             from,
             to,
         });
-        state.committed = next - 1;
+        let before = state
+            .gaps
+            .last()
+            .map_or(0, |&(from, to, before)| before + to - from + 1);
+        state.gaps.push((from, to, before));
+        state.committed = to;
         state.gap_age = None;
         state.drain_contiguous();
         if state.blocked() {
@@ -412,42 +452,34 @@ impl Reassembler {
         if !lossless {
             self.remap_clocks();
         }
-        // Interleave per-thread sequences back into one stream by arrival
-        // index, then causally order it so downstream consumers (including
-        // the JPaX observed-run monitor) see a valid linearization.
-        let mut tagged: Vec<(u64, Message)> =
-            self.threads.into_iter().flat_map(|s| s.emitted).collect();
-        tagged.sort_by_key(|&(arrival, _)| arrival);
-        self.report.delivered = tagged.len() as u64;
-        let messages = if lossless && self.report.reordered == 0 {
+        self.report.delivered = self.arena.len() as u64;
+        if lossless && self.report.reordered == 0 {
             // Fast path: a clean in-order stream must pass through
             // unchanged, bit for bit.
-            tagged.into_iter().map(|(_, m)| m).collect()
-        } else {
-            let mut buffer = CausalBuffer::new();
-            let mut out = buffer.push_all(tagged.into_iter().map(|(_, m)| m));
-            // The remap guarantees drainability; this is a belt-and-braces
-            // recovery so a latent inconsistency degrades instead of
-            // losing messages.
-            out.extend(buffer.force_drain());
-            out
-        };
+            return (self.arena, self.report);
+        }
+        // Causally order the arrival-ordered survivors, so downstream
+        // consumers (including the JPaX observed-run monitor) see a valid
+        // linearization.
+        let mut messages = Vec::with_capacity(self.arena.len());
+        let mut buffer = CausalBuffer::new();
+        buffer.push_all(self.arena, |m| messages.push(m));
+        // The remap guarantees drainability; this is a belt-and-braces
+        // recovery so a latent inconsistency degrades instead of losing
+        // messages.
+        messages.extend(buffer.force_drain());
         (messages, self.report)
     }
 
     /// Renumbers surviving messages so per-thread sequences are contiguous
-    /// again, rewriting every clock component with the monotone map
-    /// `V'[j] = |{retained seq of thread j ≤ V[j]}|`.
+    /// again, rewriting every clock in place with the monotone map
+    /// `V'[j] = |{delivered seq of thread j ≤ V[j]}|` over exactly one
+    /// component per thread.
     fn remap_clocks(&mut self) {
-        let retained: Vec<Vec<u32>> = self.threads.iter().map(|s| s.retained.clone()).collect();
-        let threads = self.threads.len();
-        let map = |j: usize, v: u32| -> u32 { retained[j].partition_point(|&s| s <= v) as u32 };
-        for state in &mut self.threads {
-            for (_, m) in &mut state.emitted {
-                let components: Vec<u32> = (0..threads)
-                    .map(|j| map(j, m.clock.get(ThreadId(j as u32))))
-                    .collect();
-                m.clock = jmpax_core::VectorClock::from_components(components);
+        for m in &mut self.arena {
+            m.clock.resize(self.threads.len());
+            for (c, state) in m.clock.as_mut_slice().iter_mut().zip(&self.threads) {
+                *c = state.renumber(*c);
             }
         }
     }

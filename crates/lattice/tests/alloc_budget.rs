@@ -1,16 +1,26 @@
-//! Allocation budget of frontier expansion: in two-level mode a lattice
-//! node must cost bytes in the level arena, not heap allocations. A
-//! counting global allocator (this test binary's own) counts every
-//! allocation and reallocation the analyzing thread makes while the
-//! analyzer expands a wide hypercube lattice.
+//! Allocation budgets of the observer's hot paths. A counting global
+//! allocator (this test binary's own) counts every allocation and
+//! reallocation the measuring thread makes.
+//!
+//! * Frontier expansion: in two-level mode a lattice node must cost bytes
+//!   in the level arena, not heap allocations.
+//! * The wire-to-verdict path after decode: reassembly plus the race and
+//!   atomicity suite over a 16-thread chaos stream must not allocate per
+//!   message.
+//! * Causal delivery of an in-order stream must not allocate at all.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use jmpax_core::{Event, Message, MvcInstrumentor, Relevance, SymbolTable, ThreadId, VarId};
-use jmpax_lattice::StreamingAnalyzer;
+use jmpax_core::{
+    AnalysisKind, CausalBuffer, Event, Message, MvcInstrumentor, Relevance, SymbolTable, ThreadId,
+    VarId,
+};
+use jmpax_lattice::{Reassembler, StreamingAnalyzer, SuiteBuilder};
 use jmpax_spec::{parse, ProgramState};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 struct Counting;
 
@@ -118,5 +128,134 @@ fn two_level_expansion_allocates_at_most_a_tenth_per_node() {
     assert!(
         per_node <= 0.1,
         "{allocations} allocations for {expanded} nodes ({per_node:.3} per node)"
+    );
+}
+
+const LOCKS: [VarId; 2] = [VarId(0), VarId(1)];
+
+/// Algorithm A's messages (every access relevant) for `threads` threads
+/// on a seeded schedule, each iteration `lock mL; cL = cL + 1; unlock mL`
+/// under one of two locks, then an unprotected write of `u`.
+fn locked_counters(threads: usize, iterations: usize, seed: u64) -> Vec<Message> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (counters, unprotected) = ([VarId(2), VarId(3)], VarId(4));
+    let mut step = vec![0usize; threads];
+    let mut done = vec![0usize; threads];
+    let mut lock: Vec<usize> = (0..threads).map(|_| rng.gen_range(0..2)).collect();
+    let mut owner: [Option<usize>; 2] = [None; 2];
+    let mut value = [0i64; 2];
+    let mut instr = MvcInstrumentor::new(threads, Relevance::Everything);
+    let mut messages = Vec::new();
+    loop {
+        let runnable: Vec<usize> = (0..threads)
+            .filter(|&t| done[t] < iterations && (step[t] != 0 || owner[lock[t]].is_none()))
+            .collect();
+        let Some(&t) = runnable.get(rng.gen_range(0..runnable.len().max(1))) else {
+            break;
+        };
+        let (l, me) = (lock[t], ThreadId(t as u32));
+        let event = match step[t] {
+            0 => {
+                owner[l] = Some(t);
+                Event::write(me, LOCKS[l], 1)
+            }
+            1 => Event::read(me, counters[l]),
+            2 => {
+                value[l] += 1;
+                Event::write(me, counters[l], value[l])
+            }
+            3 => {
+                owner[l] = None;
+                Event::write(me, LOCKS[l], 0)
+            }
+            _ => Event::write(me, unprotected, done[t] as i64 + 1),
+        };
+        messages.extend(instr.process(&event));
+        step[t] = (step[t] + 1) % 5;
+        if step[t] == 0 {
+            done[t] += 1;
+            lock[t] = rng.gen_range(0..2);
+        }
+    }
+    messages
+}
+
+/// 2 % duplicates and a seeded reordering window of 8, nothing lost.
+fn chaos(messages: &[Message], seed: u64) -> Vec<Message> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut out = Vec::with_capacity(messages.len() * 2);
+    let mut window: Vec<Message> = Vec::new();
+    for m in messages {
+        window.push(m.clone());
+        if rng.gen_bool(0.02) {
+            window.push(m.clone());
+        }
+        while window.len() >= 8 {
+            out.push(window.swap_remove(rng.gen_range(0..window.len())));
+        }
+    }
+    while !window.is_empty() {
+        out.push(window.swap_remove(rng.gen_range(0..window.len())));
+    }
+    out
+}
+
+#[test]
+fn reassembly_and_suite_allocate_at_most_a_twentieth_per_message() {
+    const THREADS: usize = 16;
+    let arrivals = chaos(&locked_counters(THREADS, 250, 301), 7);
+    let received = arrivals.len() as u64;
+    let kinds = [AnalysisKind::Race, AnalysisKind::Atomicity];
+
+    let ((findings, reordered), allocations) = allocations_in(|| {
+        let mut reassembler = Reassembler::new();
+        reassembler.push_all(arrivals);
+        let (messages, report) = reassembler.finish();
+        let mut suite = SuiteBuilder::new(&kinds, THREADS)
+            .sync_vars(LOCKS)
+            .build(None);
+        suite.push_all(messages);
+        let suite = suite.finish(report.exactness());
+        (suite.findings(), report.reordered)
+    });
+
+    // The stream is reordered and its races are found: the work was done.
+    assert!(reordered > 0 && findings > 0, "{reordered} {findings}");
+    let per_message = allocations as f64 / received as f64;
+    assert!(
+        per_message <= 0.05,
+        "{allocations} allocations for {received} messages ({per_message:.4} per message)"
+    );
+}
+
+#[test]
+fn causal_delivery_of_an_in_order_stream_never_allocates() {
+    const THREADS: usize = 16;
+    let messages = locked_counters(THREADS, 100, 5);
+    let mut buffer = CausalBuffer::new();
+    let mut delivered = 0usize;
+    // The prefix up to every thread's first message sizes the per-thread
+    // counters.
+    let warm = messages
+        .iter()
+        .position(|m| m.thread() == ThreadId(THREADS as u32 - 1) && m.seq() == 1)
+        .expect("every thread sends")
+        + 1;
+    let mut rest = messages;
+    let first: Vec<Message> = rest.drain(..warm).collect();
+    buffer.push_all(first, |_| delivered += 1);
+    assert_eq!(delivered, warm);
+
+    let pushes = rest.len();
+    let ((), allocations) = allocations_in(|| {
+        for m in rest {
+            buffer.push(m, |_| delivered += 1);
+        }
+    });
+    assert_eq!(delivered, warm + pushes);
+    assert!(buffer.is_drained());
+    assert_eq!(
+        allocations, 0,
+        "{allocations} allocations in {pushes} pushes"
     );
 }

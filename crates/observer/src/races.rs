@@ -249,7 +249,8 @@ mod tests {
     /// random with the other threads but never inside another thread's
     /// section.
     fn random_locked_execution(rng: &mut StdRng) -> Vec<Event> {
-        let threads = rng.gen_range(2..=3u32);
+        // Up to 14 threads: past `CountVec`'s 12 inline clock slots.
+        let threads = rng.gen_range(2..=14u32);
         let mut scripts: Vec<Vec<Event>> = Vec::new();
         for t in 0..threads {
             let t = ThreadId(t);
@@ -347,8 +348,13 @@ mod tests {
             let mut instr = MvcInstrumentor::with_relevance(Relevance::Everything);
             let msgs: Vec<Message> = events.iter().filter_map(|e| instr.process(e)).collect();
             // No findings budget: every race class must be listed.
+            let threads = events
+                .iter()
+                .map(|e| e.thread.index() + 1)
+                .max()
+                .unwrap_or(1);
             let detector =
-                RaceAnalysis::new(3, [L].into_iter().collect()).with_max_findings(usize::MAX);
+                RaceAnalysis::new(threads, [L].into_iter().collect()).with_max_findings(usize::MAX);
             let mut suite = AnalysisSuite::new(vec![Box::new(detector) as Box<dyn Analysis>]);
             suite.push_all(msgs);
             let report = suite.finish(Exactness::Exact);
